@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -38,14 +37,11 @@ __all__ = [
     "BiasAlphaCdf",
     "TwoPowUnifCdf",
     "DbmrqAtomsCdf",
-    "CdfLike",
     "empirical_cell_cdf",
-    "eval_closed_cdf",
     "levy_distance",
     "renyi_rate",
     "scale_shift_rate",
     "count_levels",
-    "level_count_integral",
     "output_entropy",
     "lp_error_exact",
     "lp_error_asymptotic",
@@ -204,15 +200,7 @@ class DbmrqAtomsCdf:
         return self.as_step().kinks()
 
 
-ClosedCdf = Union[BiasAlphaCdf, TwoPowUnifCdf, DbmrqAtomsCdf]
 CdfLike = Union[StepCdf, BiasAlphaCdf, TwoPowUnifCdf, DbmrqAtomsCdf]
-
-
-def eval_closed_cdf(cdf: ClosedCdf, gamma: float) -> float:
-    """Point evaluation F(gamma) of a closed-form size cdf."""
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma)) or gamma < 0.0:
-        raise DomainError(f"gamma must be a nonnegative finite real, got {gamma!r}")
-    return float(cdf.cdf(np.asarray(float(gamma))))
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +243,21 @@ def _operand(F) -> CdfLike:
     return F
 
 
-def _candidate_kinks(op, cap: int = 20_000) -> np.ndarray:
-    k = np.asarray(op.kinks(), dtype=np.float64)
-    if k.size > cap:
-        idx = np.unique(np.linspace(0, k.size - 1, cap).astype(np.int64))
-        k = k[idx]
-    return k
-
-
 def levy_distance(F, G, tol: float = 1e-4) -> float:
     """Levy metric between two size cdfs, bisected to absolute accuracy tol.
 
     Feasibility of an offset eps is checked on a candidate grid: every kink
     of either cdf, each kink shifted by +-eps, one-ulp left neighbours of all
     of those (to capture one-sided limits at jumps), and a uniform grid over
-    the joint support for the continuous parts.  For step cdfs with at most
-    20000 atoms the candidate set is exhaustive and the check exact; denser
-    cdfs are thinned, which perturbs the result by far less than tol for the
-    distributions this library produces.
+    the joint support for the continuous parts.  For step cdfs the candidate
+    set is exhaustive and the check exact, however many atoms they have.
     """
     f = _operand(F)
     g = _operand(G)
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
-    kf = _candidate_kinks(f)
-    kg = _candidate_kinks(g)
+    kf = np.asarray(f.kinks(), dtype=np.float64)
+    kg = np.asarray(g.kinks(), dtype=np.float64)
     lo_x = min(kf[0], kg[0])
     hi_x = max(kf[-1], kg[-1])
     pad = 0.0625 * (hi_x - lo_x) + 2.0 * tol
@@ -382,26 +360,12 @@ def scale_shift_rate(rate_at_unit_step: float, s: float) -> float:
 # Level counts, entropy, L^p error
 
 
-def level_count_integral(spec: QuantizerSpec, s: float, x0: float, x1: float) -> Fraction:
-    """(x1 - x0) * integral of 1/size dF, evaluated in exact rational
-    arithmetic so the per-cell contributions collapse to exactly one each."""
-    _, _, _, clipped = _clipped_cells(spec, s, x0, x1)
-    width = Fraction(x1) - Fraction(x0)
-    total = Fraction(0)
-    for g in clipped.tolist():
-        if g <= 0.0:
-            continue
-        gf = Fraction(g)
-        total += width * (1 / gf) * (gf / width)
-    return total
-
-
 def count_levels(spec: QuantizerSpec, s: float, x0: float, x1: float) -> int:
     """Number of distinct output levels on the window ``[x0, x1)``.
 
-    Computed by direct enumeration.  Evaluating the level-count integral in
-    exact rational arithmetic (:func:`level_count_integral`) gives the same
-    integer, which the test suite asserts.
+    Computed by direct enumeration.  The test suite checks it against the
+    level-count integral ``(x1 - x0) * integral of 1/size dF`` evaluated in
+    exact rational arithmetic.
     """
     return len(enumerate_cells(spec, s, x0, x1))
 

@@ -23,9 +23,11 @@ The multi-resolution property the last three share: quantizing a
 reconstruction level again with any coarser (or equal) step bound lands on the
 same output that quantizing the original input would have produced.  This
 holds bit for bit in float64, which requires some care: every cell endpoint is
-derived through one canonical computation path (a memoized table of
-``alpha**n`` plus a single split expression), so the same cell is never
-recomputed two different ways.
+derived through one canonical computation path, so the same cell is never
+recomputed two different ways.  Biased-tree splits come only from
+:func:`_split` (over a memoized table of ``alpha**n``), dyadic levels only from
+:func:`_dyadic_level`; the vector BBMRQ descent is the one elementwise copy of
+the split rule.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,11 +87,6 @@ class Scheme(Enum):
     BMRQ = "bmrq"
     DBMRQ = "dbmrq"
     BBMRQ = "bbmrq"
-
-
-def _floor_log2(s: float) -> int:
-    # frexp is exact, unlike log2 followed by floor.
-    return math.frexp(s)[1] - 1
 
 
 class _AlphaPowers:
@@ -262,8 +259,8 @@ class Cell:
     """One quantizer cell ``[lo, hi)`` with its reconstruction level.
 
     The level is the midpoint ``0.5 * (lo + hi)``, nudged one ulp below
-    ``hi`` in the rare case rounding lands it on the excluded endpoint, so it
-    always lies strictly inside the half-open interval.  ``path`` is None for
+    ``hi`` in the rare case rounding or overflow lands it outside the
+    half-open interval, so it always lies inside.  ``path`` is None for
     SIMPLE_UNIFORM, which has no refinement tree.  For negative-axis BBMRQ
     cells the interval is the mirror image of a positive cell; the shared
     endpoint convention stays half-open on the left.
@@ -291,25 +288,31 @@ def _require_input(x: float) -> None:
 
 def _midpoint(lo: float, hi: float) -> float:
     mid = 0.5 * (lo + hi)
-    if mid >= hi:
+    if not lo <= mid < hi:  # rounded onto hi, or lo + hi overflowed
         mid = math.nextafter(hi, -math.inf)
     return mid
 
 
 # ---------------------------------------------------------------------------
-# Dyadic helpers (BMRQ and DBMRQ share these)
+# Lattice cells (SIMPLE_UNIFORM, BMRQ and DBMRQ)
 
 
-def _dyadic_index(x: float, m: int) -> int:
-    return math.floor(math.ldexp(x, -m))
+def _dyadic_level(spec: QuantizerSpec, s, x):
+    """Level ``m`` of the dyadic cell that holds ``x`` at step ``s``.
 
-
-def _dbmrq_merged(spec: QuantizerSpec, s: float, m: int, pair: int) -> bool:
-    # A pair of level-m cells is merged into its level-(m+1) parent when the
-    # dithered fractional part falls below the fill fraction demanded by s.
-    threshold = 2.0 - math.ldexp(1.0, m + 1) / s
-    t = spec.dither_irrational * pair
-    return t - math.floor(t) < threshold
+    ``m`` is ``floor(log2 s)``, plus one where DBMRQ merges the pair of
+    level-m cells around ``x`` into their parent: where the dithered
+    fractional part of the pair's index falls below the fill fraction
+    ``2 - 2**(m+1)/s`` that ``s`` demands.  Takes floats, or arrays
+    elementwise.  A negative ``x`` so small that its pair index underflows
+    to -0.0 gets the pair of 0; the callers keep such inputs away from it.
+    """
+    xp = np if isinstance(s, np.ndarray) else math
+    m = xp.frexp(s)[1] - 1  # exact, unlike log2 followed by floor
+    if spec.scheme is Scheme.DBMRQ:
+        t = spec.dither_irrational * xp.floor(xp.ldexp(x, -(m + 1)))
+        m = m + (t - xp.floor(t) < 2.0 - 2.0 * (xp.ldexp(1.0, m) / s))
+    return m
 
 
 def _dyadic_path(j: int, m: int) -> PathCode:
@@ -324,14 +327,67 @@ def _dyadic_path(j: int, m: int) -> PathCode:
     return PathCode(1, -(m + width), bits)
 
 
-def _dyadic_cell(j: int, m: int, path: Optional[PathCode]) -> Cell:
-    lo = math.ldexp(j, m)
-    hi = math.ldexp(j + 1, m)
-    return Cell(lo, hi, _midpoint(lo, hi), path)
+def _lattice_index(w: float, x: float) -> Tuple[int, float, float]:
+    """Index ``j`` and ends of the cell ``[j*w, (j+1)*w)`` that holds ``x``.
+
+    ``floor(x / w)`` is one cell off where the quotient rounds across an
+    integer or underflows to -0.0, so the computed ends decide.  Raises
+    DomainError where ``j`` is too large to be exact or an end overflows.
+    """
+    u = x / w
+    if abs(u) < 2.0 ** 53:
+        j = math.floor(u)
+        lo, hi = j * w, (j + 1) * w
+        if x < lo:
+            j, lo, hi = j - 1, (j - 1) * w, lo
+        elif x >= hi:
+            j, lo, hi = j + 1, hi, (j + 2) * w
+        if -math.inf < lo <= x < hi < math.inf:
+            return j, lo, hi
+    raise DomainError(
+        f"the cell of {x!r} at spacing {w!r} is not representable in float64"
+    )
+
+
+def _lattice_cell(spec: QuantizerSpec, s: float, x: float) -> Cell:
+    """The SIMPLE_UNIFORM, BMRQ or DBMRQ cell of ``x`` at step ``s``."""
+    if spec.scheme is Scheme.SIMPLE_UNIFORM:
+        _, lo, hi = _lattice_index(s, x)
+        return Cell(lo, hi, _midpoint(lo, hi))
+    unit = math.ldexp(1.0, math.frexp(s)[1] - 1)
+    try:
+        # Every x in [-unit, 0) has the cell of -unit, whose pair index,
+        # unlike that of a tiny negative x, cannot underflow to -0.0.
+        m = _dyadic_level(spec, s, -unit if -unit < x < 0.0 else x)
+        j, lo, hi = _lattice_index(math.ldexp(1.0, m), x)
+    except OverflowError:  # the pair index or the cell length exceeds float64
+        raise DomainError(
+            f"the dyadic cell of {x!r} at step {s!r} is not representable in float64"
+        ) from None
+    return Cell(lo, hi, _midpoint(lo, hi), _dyadic_path(j, m))
 
 
 # ---------------------------------------------------------------------------
 # Biased tree (BBMRQ)
+
+
+def _split(
+    pows: _AlphaPowers, alpha: float, lo: float, hi: float, base_level: int
+) -> float:
+    """Split point of the biased-tree node ``[lo, hi)``.
+
+    A base cell ``[0, alpha**n)`` splits at the tabulated ``alpha**(n+1)``,
+    so the all-zero chain is self-consistent wherever a descent starts; any
+    other node splits at ``lo + alpha*(hi - lo)``.  A split not strictly
+    inside the node means float64 cannot resolve it.
+    """
+    split = pows.pow(base_level + 1) if lo == 0.0 else lo + alpha * (hi - lo)
+    if not lo < split < hi:
+        raise DomainError(
+            f"split of [{lo!r}, {hi!r}) is not strictly inside it; the step is "
+            "below the resolvable range"
+        )
+    return split
 
 
 def _biased_descent(
@@ -340,37 +396,22 @@ def _biased_descent(
     """Walk the biased tree to the cell of x >= 0; returns (lo, hi, n, bits)."""
     pows = spec._powers
     assert pows is not None
-    alpha = spec.alpha
-    target = x if x > s else s
-    base_level = pows.largest_exponent_above(target)
+    base_level = pows.largest_exponent_above(x if x > s else s)
     lo, hi = 0.0, pows.pow(base_level)
     bits: List[int] = []
     for _ in range(_MAX_DESCENT):
         if hi - lo <= s:
             return lo, hi, base_level, bits
-        if lo == 0.0:
-            # Base cells split at the tabulated next power so the all-zero
-            # chain is self-consistent no matter where a descent starts.
-            split = pows.pow(base_level + 1)
-            if x < split:
-                base_level += 1
-                hi = split
-            else:
-                bits.append(1)
-                lo = split
+        split = _split(pows, spec.alpha, lo, hi, base_level)
+        if x >= split:
+            bits.append(1)
+            lo = split
+        elif lo == 0.0:
+            base_level += 1
+            hi = split
         else:
-            split = lo + alpha * (hi - lo)
-            if not (lo < split < hi):
-                raise DomainError(
-                    f"descent stalled near [{lo!r}, {hi!r}); step {s!r} is "
-                    "below the resolvable range"
-                )
-            if x < split:
-                bits.append(0)
-                hi = split
-            else:
-                bits.append(1)
-                lo = split
+            bits.append(0)
+            hi = split
     raise DomainError("descent exceeded the iteration safety bound")
 
 
@@ -393,23 +434,9 @@ def cell_of(spec: QuantizerSpec, s: float, x: float) -> Cell:
     _require_input(x)
     x = float(x)
     s = float(s)
-    if spec.scheme is Scheme.SIMPLE_UNIFORM:
-        j = math.floor(x / s)
-        lo = j * s
-        hi = (j + 1) * s
-        return Cell(lo, hi, _midpoint(lo, hi))
-    if spec.scheme is Scheme.BMRQ:
-        m = _floor_log2(s)
-        j = _dyadic_index(x, m)
-        return _dyadic_cell(j, m, _dyadic_path(j, m))
-    if spec.scheme is Scheme.DBMRQ:
-        m = _floor_log2(s)
-        pair = _dyadic_index(x, m + 1)
-        if _dbmrq_merged(spec, s, m, pair):
-            return _dyadic_cell(pair, m + 1, _dyadic_path(pair, m + 1))
-        j = _dyadic_index(x, m)
-        return _dyadic_cell(j, m, _dyadic_path(j, m))
-    return _biased_cell(spec, s, x)
+    if spec.scheme is Scheme.BBMRQ:
+        return _biased_cell(spec, s, x)
+    return _lattice_cell(spec, s, x)
 
 
 def quantize(spec: QuantizerSpec, s: float, x: float) -> float:
@@ -420,30 +447,22 @@ def quantize(spec: QuantizerSpec, s: float, x: float) -> float:
 def tree_interval(alpha: float, path: PathCode) -> Tuple[float, float]:
     """Interval of the biased-tree node addressed by ``path``.
 
-    Evaluates the defining recursion directly: the all-zero prefix gives the
-    base cell ``[0, alpha**n)``, a 0 bit keeps the left part of the split and
-    a 1 bit the right part.  Splits use the same canonical expressions as the
-    iterative descent in :func:`cell_of`, so the two agree bit for bit.
+    Starts from the base cell ``[0, alpha**n)`` and walks the bits: a 0 bit
+    keeps the left part of the node's split and a 1 bit the right part.
+    Splits come from the same :func:`_split` as the descent in
+    :func:`cell_of`, so the two agree bit for bit.
     """
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be a float in (0, 1), got {alpha!r}")
     if not isinstance(path, PathCode):
         raise PathCodeError(f"expected a PathCode, got {path!r}")
     pows = _powers_for(alpha)
-
-    def node(depth: int) -> Tuple[float, float]:
-        if depth == 0:
-            return 0.0, pows.pow(path.base_level)
-        lo, hi = node(depth - 1)
-        if lo == 0.0:
-            split = pows.pow(path.base_level + depth)
-        else:
-            split = lo + alpha * (hi - lo)
-        if path.bits[depth - 1]:
-            return split, hi
-        return lo, split
-
-    lo, hi = node(len(path.bits))
+    lo, hi = 0.0, pows.pow(path.base_level)
+    # A nonempty bit string starts with 1, so only the first split is a base
+    # cell's, and it is the split of alpha**base_level.
+    for bit in path.bits:
+        split = _split(pows, alpha, lo, hi, path.base_level)
+        lo, hi = (split, hi) if bit else (lo, split)
     if path.sign < 0:
         return -hi, -lo
     return lo, hi
@@ -468,7 +487,9 @@ def decode_path(spec: QuantizerSpec, path: PathCode) -> Cell:
     m = -path.base_level - len(path.bits)
     if path.sign < 0:
         j = -j - 1
-    return _dyadic_cell(j, m, path)
+    lo = math.ldexp(j, m)
+    hi = math.ldexp(j + 1, m)
+    return Cell(lo, hi, _midpoint(lo, hi), path)
 
 
 def encode_path(spec: QuantizerSpec, s: float, x: float) -> PathCode:
@@ -495,40 +516,14 @@ def _cell_budget(spec: QuantizerSpec, s: float, x0: float, x1: float) -> None:
         )
 
 
-def _enumerate_uniform(s: float, x0: float, x1: float) -> List[Cell]:
+def _enumerate_lattice(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
+    # Walking x <- cell.hi is exact: a cell's upper end is the next one's lower.
     out = []
-    j = math.floor(x0 / s)
-    while j * s < x1:
-        lo = j * s
-        hi = (j + 1) * s
-        out.append(Cell(lo, hi, _midpoint(lo, hi)))
-        j += 1
-    return out
-
-
-def _enumerate_bmrq(s: float, x0: float, x1: float) -> List[Cell]:
-    m = _floor_log2(s)
-    out = []
-    j = _dyadic_index(x0, m)
-    while math.ldexp(j, m) < x1:
-        out.append(_dyadic_cell(j, m, _dyadic_path(j, m)))
-        j += 1
-    return out
-
-
-def _enumerate_dbmrq(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
-    m = _floor_log2(s)
-    out = []
-    pair = _dyadic_index(x0, m + 1)
-    while math.ldexp(pair, m + 1) < x1:
-        if _dbmrq_merged(spec, s, m, pair):
-            out.append(_dyadic_cell(pair, m + 1, _dyadic_path(pair, m + 1)))
-        else:
-            for j in (2 * pair, 2 * pair + 1):
-                cell = _dyadic_cell(j, m, None)
-                if cell.hi > x0 and cell.lo < x1:
-                    out.append(_dyadic_cell(j, m, _dyadic_path(j, m)))
-        pair += 1
+    x = x0
+    while x < x1:
+        cell = _lattice_cell(spec, s, x)
+        out.append(cell)
+        x = cell.hi
     return out
 
 
@@ -553,16 +548,11 @@ def _enumerate_biased_nonneg(
             bits = tuple((packed >> (nbits - 1 - i)) & 1 for i in range(nbits))
             out.append(Cell(lo, hi, _midpoint(lo, hi), PathCode(1, base_level, bits)))
             continue
+        split = _split(pows, alpha, lo, hi, base_level)
         if lo == 0.0:
-            split = pows.pow(base_level + 1)
             right = (split, hi, base_level, 1, 1)
             left = (0.0, split, base_level + 1, 0, 0)
         else:
-            split = lo + alpha * (hi - lo)
-            if not (lo < split < hi):
-                raise DomainError(
-                    f"subdivision stalled near [{lo!r}, {hi!r}) at step {s!r}"
-                )
             right = (split, hi, base_level, (packed << 1) | 1, nbits + 1)
             left = (lo, split, base_level, packed << 1, nbits + 1)
         stack.append(right)
@@ -606,13 +596,9 @@ def enumerate_cells(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List
     x0 = float(x0)
     x1 = float(x1)
     _cell_budget(spec, s, x0, x1)
-    if spec.scheme is Scheme.SIMPLE_UNIFORM:
-        return _enumerate_uniform(s, x0, x1)
-    if spec.scheme is Scheme.BMRQ:
-        return _enumerate_bmrq(s, x0, x1)
-    if spec.scheme is Scheme.DBMRQ:
-        return _enumerate_dbmrq(spec, s, x0, x1)
-    return _enumerate_biased(spec, s, x0, x1)
+    if spec.scheme is Scheme.BBMRQ:
+        return _enumerate_biased(spec, s, x0, x1)
+    return _enumerate_lattice(spec, s, x0, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -629,37 +615,29 @@ def _as_sx_arrays(s, x) -> Tuple[np.ndarray, np.ndarray]:
     return s, x
 
 
-def _quantize_many_uniform(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    j = np.floor(x / s)
-    lo = j * s
-    hi = (j + 1.0) * s
-    mid = 0.5 * (lo + hi)
-    return np.where(mid >= hi, np.nextafter(hi, -np.inf), mid)
+def _quantize_many_lattice(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Levels of :func:`_lattice_cell` elementwise, bit for bit: ldexp by
+    ``-m`` rounds exactly as the scalar division by ``2**m`` does.
 
-
-def _bmrq_levels(s: np.ndarray) -> np.ndarray:
-    return np.frexp(s)[1] - 1
-
-
-def _quantize_many_bmrq(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = _bmrq_levels(s)
-    j = np.floor(np.ldexp(x, -m))
-    lo = np.ldexp(j, m)
-    hi = np.ldexp(j + 1.0, m)
-    return 0.5 * (lo + hi)
-
-
-def _quantize_many_dbmrq(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = _bmrq_levels(s)
-    pair = np.floor(np.ldexp(x, -(m + 1)))
-    threshold = 2.0 - np.ldexp(1.0, m + 1) / s
-    t = spec.dither_irrational * pair
-    merged = (t - np.floor(t)) < threshold
-    level = np.where(merged, m + 1, m)
-    j = np.floor(np.ldexp(x, -level))
-    lo = np.ldexp(j, level)
-    hi = np.ldexp(j + 1.0, level)
-    return 0.5 * (lo + hi)
+    The rare element the fast expressions get wrong -- an index too large to be exact or
+    one cell off, an end or a midpoint out of range -- fails one check and
+    goes through the scalar path, which repairs it or raises DomainError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.scheme is Scheme.SIMPLE_UNIFORM:
+            j = np.floor(x / s)
+            lo, hi = j * s, (j + 1.0) * s
+        else:
+            m = _dyadic_level(spec, s, x)
+            j = np.floor(np.ldexp(x, -m))
+            lo, hi = np.ldexp(j, m), np.ldexp(j + 1.0, m)
+        mid = 0.5 * (lo + hi)
+    ok = (np.abs(j) < 2.0 ** 53) & (lo <= x) & (x < hi) & (lo < mid) & (mid < hi)
+    if not ok.all():
+        mid = np.array(mid)  # writable, whatever the shape
+        for i in np.flatnonzero(~ok):
+            mid.flat[i] = quantize(spec, s.flat[i], x.flat[i])
+    return mid
 
 
 def _quantize_many_bbmrq(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -705,10 +683,6 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
     expressions, element by element).
     """
     s_arr, x_arr = _as_sx_arrays(s, x)
-    if spec.scheme is Scheme.SIMPLE_UNIFORM:
-        return _quantize_many_uniform(s_arr, x_arr)
-    if spec.scheme is Scheme.BMRQ:
-        return _quantize_many_bmrq(s_arr, x_arr)
-    if spec.scheme is Scheme.DBMRQ:
-        return _quantize_many_dbmrq(spec, s_arr, x_arr)
-    return _quantize_many_bbmrq(spec, s_arr, x_arr)
+    if spec.scheme is Scheme.BBMRQ:
+        return _quantize_many_bbmrq(spec, s_arr, x_arr)
+    return _quantize_many_lattice(spec, s_arr, x_arr)

@@ -109,9 +109,10 @@ def capacity_to_step(
 
     Under ``LEVEL_COUNT_SEARCH`` this is the smallest step whose cell count
     over the domain is at most k, located by 60 bisection steps on
-    (width/(k+1), width] and verified before returning: every cell has
-    length at most the step, so width/(k+1) always needs more than k cells,
-    while a full-width step needs the fewest the scheme can manage.
+    (lo, width] and verified before returning.  A full-width step needs the
+    fewest cells the scheme can manage; ``lo`` starts at width/(k+1) and is
+    halved until it needs more than k cells, since a cell may be longer than
+    the step (merged DBMRQ cells reach twice it).
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise DomainError(f"capacity must be an integer >= 2, got {k!r}")
@@ -142,6 +143,8 @@ def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
         raise DomainError(
             f"capacity {k} cannot cover [{x0}, {x1}) with {spec.scheme.value}"
         )
+    while count_levels(spec, lo, x0, x1) <= k:
+        lo *= 0.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -22,8 +22,6 @@ from mrquant.cdf_analysis import (
     TwoPowUnifCdf,
     count_levels,
     empirical_cell_cdf,
-    eval_closed_cdf,
-    level_count_integral,
     levy_distance,
     lp_error_asymptotic,
     lp_error_exact,
@@ -33,6 +31,20 @@ from mrquant.cdf_analysis import (
 )
 
 LOG2E = math.log2(math.e)
+
+
+def level_count_integral(spec, s, x0, x1) -> Fraction:
+    """(x1 - x0) * integral of 1/size dF over the window's clipped cells, in
+    exact rational arithmetic, so each cell contributes exactly one."""
+    width = Fraction(x1) - Fraction(x0)
+    total = Fraction(0)
+    for c in enumerate_cells(spec, s, x0, x1):
+        g = min(c.hi, x1) - max(c.lo, x0)
+        if g <= 0.0:
+            continue
+        gf = Fraction(g)
+        total += width * (1 / gf) * (gf / width)
+    return total
 
 
 def brute_levy(F, G, xs, eps_step=1e-4):
@@ -87,19 +99,19 @@ class TestStepCdf:
 class TestClosedForms:
     def test_twopow_point_values(self):
         tp = TwoPowUnifCdf()
-        assert eval_closed_cdf(tp, 2.0 ** -0.5) == pytest.approx(0.5, abs=1e-15)
-        assert eval_closed_cdf(tp, 0.5) == 0.0
-        assert eval_closed_cdf(tp, 1.0) == 1.0
-        assert eval_closed_cdf(tp, 0.1) == 0.0
-        assert eval_closed_cdf(tp, 7.0) == 1.0
+        assert float(tp.cdf(2.0 ** -0.5)) == pytest.approx(0.5, abs=1e-15)
+        assert float(tp.cdf(0.5)) == 0.0
+        assert float(tp.cdf(1.0)) == 1.0
+        assert float(tp.cdf(0.1)) == 0.0
+        assert float(tp.cdf(7.0)) == 1.0
 
     def test_bias_point_values(self):
         b = BiasAlphaCdf(0.6)
-        assert eval_closed_cdf(b, 1.0) == 1.0
-        assert eval_closed_cdf(b, 0.39) == 0.0  # below the support floor 0.4
+        assert float(b.cdf(1.0)) == 1.0
+        assert float(b.cdf(0.39)) == 0.0  # below the support floor 0.4
         h = -(0.6 * math.log2(0.6) + 0.4 * math.log2(0.4))
         assert b.split_entropy == pytest.approx(h, abs=1e-15)
-        assert eval_closed_cdf(b, 0.6) == pytest.approx(
+        assert float(b.cdf(0.6)) == pytest.approx(
             0.4 * math.log2(0.6 / 0.4) / h, abs=1e-14
         )
         assert b.support == (0.4, 1.0)
@@ -135,10 +147,6 @@ class TestClosedForms:
             BiasAlphaCdf(1.0)
         with pytest.raises(DomainError):
             DbmrqAtomsCdf(0.0)
-        with pytest.raises(DomainError):
-            eval_closed_cdf(TwoPowUnifCdf(), -0.5)
-        with pytest.raises(DomainError):
-            eval_closed_cdf(TwoPowUnifCdf(), math.inf)
 
 
 class TestEmpiricalCdf:
@@ -248,6 +256,17 @@ class TestLevyDistance:
     def test_rejects_non_cdf(self):
         with pytest.raises(DomainError):
             levy_distance(BiasAlphaCdf(0.6), object())
+
+    def test_dense_step_cdfs_are_checked_exactly(self):
+        # Half the mass sits on one atom of a 30 001-atom grid; moving that
+        # atom right by 0.01 must show, however many atoms surround it.
+        bp = np.linspace(1.0, 1000.0, 30_001)
+        m = np.full(bp.size, 0.5 / (bp.size - 1))
+        m[15_001] = 0.5
+        moved = bp.copy()
+        moved[15_001] += 0.01
+        d = levy_distance(StepCdf(bp, m), StepCdf(moved, m))
+        assert d == pytest.approx(0.01, abs=2e-4)
 
 
 class TestRenyiRates:

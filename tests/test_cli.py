@@ -120,6 +120,14 @@ class TestQuantizeCommand:
         assert out == ""
         assert "bmrq" in err
 
+    def test_unrepresentable_cell_is_a_domain_error(self):
+        code, out, err = run_cli(
+            ["quantize", "--scheme", "bmrq", "--s", "5e-324", "--x", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "representable" in err
+
     def test_alpha_outside_range_is_a_domain_error(self):
         code, _, err = run_cli(
             ["quantize", "--scheme", "bbmrq", "--alpha", "0.9", "--s", "0.3", "--x", "0.2"]

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrquant import (
@@ -130,6 +130,7 @@ class TestBmrq:
         r=st.floats(0, 40),
     )
     @settings(max_examples=300)
+    @example(x=-5e-324, e1=0.0, r=1.0)
     def test_requantization_identity(self, x, e1, r):
         s1 = 2.0 ** e1
         s2 = s1 * 2.0 ** r
@@ -182,11 +183,23 @@ class TestDbmrq:
         r=st.floats(0, 40),
     )
     @settings(max_examples=300)
+    @example(x=-5e-324, e1=0.0, r=1.0)
     def test_requantization_identity(self, x, e1, r):
         s1 = 1.3 * 2.0 ** e1
         s2 = s1 * 2.0 ** r
         y = quantize(DBMRQ, s1, x)
         assert quantize(DBMRQ, s2, y) == quantize(DBMRQ, s2, x)
+
+    def test_scalar_matches_vector_inside_the_octave(self):
+        rng = np.random.default_rng(20)
+        xs = rng.uniform(-500, 500, 4000)
+        ss = np.ldexp(rng.uniform(1.0, 2.0, 4000), rng.integers(-12, 6, 4000))
+        vec = quantize_many(DBMRQ, ss, xs)
+        cells = [cell_of(DBMRQ, float(s), float(x)) for s, x in zip(ss, xs)]
+        assert np.array_equal(vec, [c.level for c in cells])
+        unit = np.ldexp(1.0, np.frexp(ss)[1] - 1)
+        merged = np.array([c.size for c in cells]) == 2.0 * unit
+        assert merged.any() and not merged.all()
 
     def test_path_round_trip(self):
         rng = np.random.default_rng(11)
@@ -298,17 +311,19 @@ class TestTreeInterval:
 
     def test_oracle_equivalence_with_descent(self):
         # Every tree node is the cell of (s = its own length, x = midpoint);
-        # the recursion and the iterative descent must agree bit for bit.
+        # walking the path and descending to x must agree bit for bit.
         rng = np.random.default_rng(16)
-        for _ in range(2000):
-            base = int(rng.integers(-12, 20))
-            depth = int(rng.integers(0, 31))
-            bits = ((1,) + tuple(int(b) for b in rng.integers(0, 2, depth - 1))) if depth else ()
-            path = PathCode(1, base, bits)
-            lo, hi = tree_interval(0.6, path)
-            c = cell_of(BB6, hi - lo, 0.5 * (lo + hi))
-            assert (c.lo, c.hi) == (lo, hi)
-            assert c.path == path
+        for alpha in (0.51, 0.6, 0.74):
+            spec = QuantizerSpec.bbmrq(alpha)
+            for _ in range(2000):
+                base = int(rng.integers(-12, 20))
+                depth = int(rng.integers(0, 31))
+                bits = ((1,) + tuple(int(b) for b in rng.integers(0, 2, depth - 1))) if depth else ()
+                path = PathCode(1, base, bits)
+                lo, hi = tree_interval(alpha, path)
+                c = cell_of(spec, hi - lo, 0.5 * (lo + hi))
+                assert (c.lo, c.hi) == (lo, hi)
+                assert c.path == path
 
     def test_sign_mirrors(self):
         lo, hi = tree_interval(0.6, PathCode(-1, 0, (1,)))
@@ -340,6 +355,15 @@ class TestPaths:
                 c = cell_of(spec, s, x)
                 back = decode_path(spec, c.path)
                 assert (back.lo, back.hi, back.level) == (c.lo, c.hi, c.level)
+
+    def test_deep_biased_path_round_trip(self):
+        # About 1200 bits, more than the interpreter's recursion limit.
+        with pytest.warns(UserWarning):
+            spec = QuantizerSpec.bbmrq(0.999, nonstandard_alpha=True)
+        c = cell_of(spec, 1e-3, 1e3)
+        assert len(c.path.bits) > 1000
+        back = decode_path(spec, encode_path(spec, 1e-3, 1e3))
+        assert (back.lo, back.hi, back.level) == (c.lo, c.hi, c.level)
 
     def test_uniform_has_no_paths(self):
         with pytest.raises(PathCodeError):
@@ -431,3 +455,63 @@ class TestQuantizeMany:
             quantize_many(BMRQ, -1.0, np.array([0.5]))
         with pytest.raises(DomainError):
             quantize_many(BMRQ, 1.0, np.array([np.nan]))
+
+
+class TestFloat64Edges:
+    """Every finite input and step gives the cell that holds the input, or a
+    DomainError where float64 cannot represent it; scalar and vector agree."""
+
+    @pytest.mark.parametrize("spec", [UNIFORM, BMRQ, DBMRQ], ids=lambda s: s.scheme.value)
+    def test_negative_subnormal_lands_below_zero(self, spec):
+        c = cell_of(spec, 2.0, -5e-324)
+        assert (c.lo, c.hi, c.level) == (-2.0, 0.0, -1.0)
+        vec = quantize_many(spec, 2.0, np.array([[0.5, -5e-324], [-5e-324, 3.0]]))
+        assert np.array_equal(vec, [[1.0, -1.0], [-1.0, 3.0]])
+        assert quantize_many(spec, 2.0, -5e-324) == -1.0
+
+    def test_uniform_cell_holds_an_input_on_its_boundary(self):
+        # x is the rounded product 510335 * s, and x / s rounds to just below 510335.
+        s, x = 1.2667220414021823, 646452.5929989826
+        c = cell_of(UNIFORM, s, x)
+        assert c.lo <= x < c.hi
+        assert quantize_many(UNIFORM, s, np.array([x]))[0] == c.level
+
+    @pytest.mark.parametrize(
+        "spec, s, x",
+        [
+            (BMRQ, 5e-324, 1.0),  # the index overflows
+            (DBMRQ, 5e-324, 1.0),
+            (UNIFORM, 1e-10, 1e308),
+            (BMRQ, 1.0, 1e17),  # the index is too large to be exact
+            (DBMRQ, 1.0, 1e17),
+            (UNIFORM, 1.0, 1e17),
+            (BMRQ, 1e308, 1.7e308),  # the cell ends past the largest float
+            (DBMRQ, 1.7e308, 1.0),
+            (UNIFORM, 1e308, -1.7e308),
+            (DBMRQ, 1.1110354586872598e308, -1.0),
+        ],
+    )
+    def test_unrepresentable_cells_raise(self, spec, s, x):
+        with pytest.raises(DomainError):
+            cell_of(spec, s, x)
+        with pytest.raises(DomainError):
+            quantize_many(spec, s, np.array([0.5, x]))
+
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        s=st.floats(min_value=5e-324, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_whole_range(self, x, s):
+        for spec in (UNIFORM, BMRQ, DBMRQ, BB6):
+            try:
+                c = cell_of(spec, s, x)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    quantize_many(spec, s, np.array([x]))
+                continue
+            if spec is BB6 and x < 0.0:
+                assert c.lo < x <= c.hi and c.lo < c.level <= c.hi
+            else:
+                assert c.lo <= x < c.hi and c.lo <= c.level < c.hi
+            assert quantize_many(spec, s, np.array([x]))[0] == c.level

@@ -95,6 +95,15 @@ class TestCapacityToStep:
         # a slightly smaller step must already need more than k levels
         assert count_levels(scheme_spec, s * (1.0 - 1e-9), 0.0, 1.0) > k
 
+    @pytest.mark.parametrize("k", [24, 33, 34])
+    def test_search_is_tight_where_merged_cells_outgrow_the_step(self, k):
+        # On this domain width/(k+1) already fits in k dbmrq levels, since a
+        # merged cell is up to twice the step long.
+        domain = (0.31868288352858964, 1.3055845199791705)
+        s = capacity_to_step(DBMRQ, k, domain)
+        assert count_levels(DBMRQ, s, *domain) <= k
+        assert count_levels(DBMRQ, s * (1.0 - 1e-11), *domain) > k
+
     def test_search_policy_on_uniform_matches_closed_form(self):
         s = capacity_to_step(
             UNIFORM, 3, policy=CapacityPolicy.LEVEL_COUNT_SEARCH
