@@ -14,7 +14,8 @@ Closed forms provided:
 * :class:`TwoPowUnifCdf` -- the law of ``2**U`` with ``U`` uniform on
   ``[-1, 0]``; the size law shared by BMRQ under log-uniform step placement
   and DBMRQ averaged over its octave.
-* :class:`DbmrqAtomsCdf` -- the exact two-atom law of DBMRQ at a fixed step.
+* :func:`DbmrqAtomsCdf` -- the exact two-atom law of DBMRQ at a fixed step,
+  as a :class:`StepCdf`.
 """
 
 from __future__ import annotations
@@ -169,38 +170,32 @@ class TwoPowUnifCdf:
         return np.array([0.5, 1.0])
 
 
-@dataclass(frozen=True)
-class DbmrqAtomsCdf:
-    """Exact two-atom size law of DBMRQ at step bound ``s``."""
-
-    s: float
-
-    def __post_init__(self) -> None:
-        if not (self.s > 0.0 and math.isfinite(self.s)):
-            raise DomainError("step bound must be positive and finite")
-
-    def as_step(self) -> StepCdf:
-        m = math.frexp(self.s)[1] - 1
-        small = math.ldexp(1.0, m)
-        big = math.ldexp(1.0, m + 1)
-        u = big / self.s  # in (1, 2]
-        mass_small = u - 1.0
-        mass_big = 2.0 - u
-        if mass_big <= 0.0:
-            return StepCdf(np.array([small]), np.array([1.0]))
-        return StepCdf(np.array([small, big]), np.array([mass_small, mass_big]))
-
-    def cdf(self, x) -> np.ndarray:
-        return self.as_step().cdf(x)
-
-    def cdf_left(self, x) -> np.ndarray:
-        return self.as_step().cdf_left(x)
-
-    def kinks(self) -> np.ndarray:
-        return self.as_step().kinks()
+def DbmrqAtomsCdf(s: float) -> StepCdf:  # noqa: N802 - the law's long-standing name
+    """Exact two-atom size law of DBMRQ at step bound ``s``: atoms
+    ``2**m <= s < 2**(m+1)`` with masses ``u - 1`` and ``2 - u`` for
+    ``u = 2**(m+1)/s``, one atom at ``s`` when ``s`` is a power of two."""
+    if not (s > 0.0 and math.isfinite(s)):
+        raise DomainError("step bound must be positive and finite")
+    m = math.frexp(s)[1] - 1
+    small, big = math.ldexp(1.0, m), math.ldexp(1.0, m + 1)
+    u = big / s  # in (1, 2]
+    if u >= 2.0:
+        return StepCdf(np.array([small]), np.array([1.0]))
+    return StepCdf(np.array([small, big]), np.array([u - 1.0, 2.0 - u]))
 
 
-CdfLike = Union[StepCdf, BiasAlphaCdf, TwoPowUnifCdf, DbmrqAtomsCdf]
+def _lattice_law(spec: QuantizerSpec, s: float) -> StepCdf:
+    """Exact size law of a SIMPLE_UNIFORM, BMRQ or DBMRQ quantizer at step
+    ``s``: one atom at ``s``, one at ``2**floor(log2 s)`` (the lower DBMRQ
+    atom), or the two atoms of :func:`DbmrqAtomsCdf`."""
+    law = DbmrqAtomsCdf(s)  # which also checks the step
+    if spec.scheme is Scheme.DBMRQ:
+        return law
+    atom = s if spec.scheme is Scheme.SIMPLE_UNIFORM else law.breakpoints[0]
+    return StepCdf(np.array([atom]), np.array([1.0]))
+
+
+CdfLike = Union[StepCdf, BiasAlphaCdf, TwoPowUnifCdf]
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +319,6 @@ def renyi_rate(F: CdfLike, eta: float) -> float:
         eta = 1.0
     if isinstance(F, StepCdf):
         return _renyi_from_atoms(F.breakpoints, F.masses, eta)
-    if isinstance(F, DbmrqAtomsCdf):
-        step = F.as_step()
-        return _renyi_from_atoms(step.breakpoints, step.masses, eta)
     if isinstance(F, TwoPowUnifCdf):
         if eta == 1.0:
             return 0.5

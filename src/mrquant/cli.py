@@ -25,6 +25,7 @@ from .cdf_analysis import (
     BiasAlphaCdf,
     DbmrqAtomsCdf,
     TwoPowUnifCdf,
+    _lattice_law,
     empirical_cell_cdf,
     levy_distance,
 )
@@ -38,7 +39,6 @@ from .quantizers import (
 )
 from .relay_sim import (
     DEFAULT_GRID_SIZE,
-    CapacityPolicy,
     RelayChainConfig,
     adversarial_ratio,
     run_chain,
@@ -91,13 +91,9 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 
 def _closed_form_rows(spec: QuantizerSpec, s: float) -> List[tuple]:
-    if spec.scheme is Scheme.SIMPLE_UNIFORM:
-        return [(s, 1.0)]
-    if spec.scheme is Scheme.BMRQ:
-        return [(2.0 ** (math.frexp(s)[1] - 1), 1.0)]
-    if spec.scheme is Scheme.DBMRQ:
-        step = DbmrqAtomsCdf(s).as_step()
-        return list(zip(step.breakpoints, np.cumsum(step.masses)))
+    if spec.scheme is not Scheme.BBMRQ:
+        law = _lattice_law(spec, s)
+        return list(zip(law.breakpoints, np.cumsum(law.masses)))
     law = BiasAlphaCdf(spec.alpha)
     lo, hi = law.support
     grid = np.union1d(
@@ -129,7 +125,7 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
         elif args.levy_against == "twopow":
             d = levy_distance(empirical.scaled(1.0 / args.s), TwoPowUnifCdf())
         else:  # dbmrq
-            d = levy_distance(empirical, DbmrqAtomsCdf(args.s).as_step())
+            d = levy_distance(empirical, DbmrqAtomsCdf(args.s))
         print(f"levy_distance,{_fmt(d)}")
     return 0
 
@@ -163,7 +159,7 @@ def _load_relay_config(path: str) -> RelayChainConfig:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("relay config must be a JSON object")
-    unknown = set(doc) - {"capacities", "domain", "scheme", "alpha", "policy"}
+    unknown = set(doc) - {"capacities", "domain", "scheme", "alpha"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -185,21 +181,11 @@ def _load_relay_config(path: str) -> RelayChainConfig:
     alpha = doc.get("alpha")
     if alpha is not None and not isinstance(alpha, (int, float)):
         raise ConfigError("alpha must be a number")
-    policy = None
-    if "policy" in doc:
-        try:
-            policy = CapacityPolicy(doc["policy"])
-        except ValueError:
-            valid = ", ".join(p.value for p in CapacityPolicy)
-            raise ConfigError(
-                f"unknown policy {doc['policy']!r}; choose from {valid}"
-            )
     spec = _build_spec(scheme, alpha)
     return RelayChainConfig(
         capacities=tuple(caps),
         spec=spec,
         domain=(float(domain[0]), float(domain[1])),
-        policy=policy,
     )
 
 

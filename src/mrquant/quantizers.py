@@ -98,7 +98,7 @@ class _AlphaPowers:
     read-only after construction.
     """
 
-    __slots__ = ("alpha", "_pos", "_neg", "_asc", "_asc_list", "n_min", "n_max")
+    __slots__ = ("alpha", "_asc", "_asc_list", "n_min", "n_max")
 
     def __init__(self, alpha: float) -> None:
         if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
@@ -112,15 +112,13 @@ class _AlphaPowers:
             if v <= 0.0 or v >= pos[-1]:
                 break
             pos.append(v)
-        neg: List[float] = []
+        neg: List[float] = []  # neg[k] == alpha**(-(k+1))
         prev = 1.0
         while len(neg) < _POW_TABLE_CAP:
             prev = prev / alpha
             if math.isinf(prev):
                 break
             neg.append(prev)
-        self._pos = pos
-        self._neg = neg  # neg[k] == alpha**(-(k+1))
         self.n_min = -len(neg)
         self.n_max = len(pos) - 1
         # Ascending view: _asc[k] == alpha**(n_max - k).
@@ -129,11 +127,8 @@ class _AlphaPowers:
         self._asc_list = asc
 
     def pow(self, n: int) -> float:
-        if n >= 0:
-            if n <= self.n_max:
-                return self._pos[n]
-        elif n >= self.n_min:
-            return self._neg[-n - 1]
+        if self.n_min <= n <= self.n_max:
+            return self._asc_list[self.n_max - n]
         raise DomainError(
             f"alpha**{n} is outside the tabulated float64 range for alpha={self.alpha}"
         )
@@ -480,16 +475,23 @@ def decode_path(spec: QuantizerSpec, path: PathCode) -> Cell:
         if path.sign < 0:
             return Cell(-hi, -lo, -mid, path)
         return Cell(lo, hi, mid, path)
-    # Dyadic: base cell [0, 2**-base_level), halved once per bit.
-    j = 0
-    for b in path.bits:
-        j = (j << 1) | b
+    # Dyadic: the cell [j*2**m, (j+1)*2**m) of the path's index j.  Both ends
+    # are exact floats only while j has at most 53 bits (the first is 1), the
+    # cell is no shorter than the smallest subnormal and neither end overflows.
     m = -path.base_level - len(path.bits)
-    if path.sign < 0:
-        j = -j - 1
-    lo = math.ldexp(j, m)
-    hi = math.ldexp(j + 1, m)
-    return Cell(lo, hi, _midpoint(lo, hi), path)
+    j = int("".join(map(str, path.bits)) or "0", 2)
+    j = -j - 1 if path.sign < 0 else j
+    if len(path.bits) <= 53 and m >= -1074:
+        try:
+            lo, hi = math.ldexp(j, m), math.ldexp(j + 1, m)
+        except OverflowError:
+            pass
+        else:
+            return Cell(lo, hi, _midpoint(lo, hi), path)
+    raise PathCodeError(
+        f"the dyadic cell at level {m} of a {len(path.bits)}-bit path is not "
+        "representable in float64"
+    )
 
 
 def encode_path(spec: QuantizerSpec, s: float, x: float) -> PathCode:
@@ -671,8 +673,11 @@ def _quantize_many_bbmrq(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> n
         hi = np.where(go_left, split, hi)
         k = np.where(go_left & on_base, k_next, k)
         active = (hi - lo) > s
-    mid = 0.5 * (lo + hi)
-    mid = np.where(mid >= hi, np.nextafter(hi, -np.inf), mid)
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    # the rule of _midpoint: nudge below hi where rounding or overflow left
+    # the midpoint outside [lo, hi)
+    mid = np.where((lo <= mid) & (mid < hi), mid, np.nextafter(hi, -np.inf))
     return np.where(x < 0.0, -mid, mid)
 
 

@@ -6,6 +6,10 @@ outgoing link forces a coarser step than anything applied so far.  For the
 requantizable families the whole chain collapses to a single quantization at
 the coarsest step; the plain uniform quantizer lacks that property, which is
 what the error comparison and the adversarial capacity experiment quantify.
+
+Every scheme turns a capacity into a step by one rule, the verified
+level-count search of :func:`capacity_to_step`; a closed form such as width/k
+holds only on domains aligned with the lattice and overshoots k elsewhere.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cdf_analysis import count_levels
-from .quantizers import DomainError, QuantizerSpec, Scheme, quantize, quantize_many
+from .quantizers import DomainError, QuantizerSpec, quantize, quantize_many
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -40,22 +44,14 @@ DEFAULT_GRID_SIZE = 1 << 17
 
 
 class CapacityPolicy(Enum):
-    """How a link capacity k becomes a step bound.
+    """How a link capacity k becomes a step bound: always by the verified
+    level-count search of :func:`capacity_to_step`.
 
-    ``STEP_FROM_CAPACITY`` is the closed-form rule (width/k for the uniform
-    scheme, width * 2^-floor(log2 k) for the dyadic one) and exists only for
-    those two.  ``LEVEL_COUNT_SEARCH`` finds the smallest step whose level
-    count over the domain fits in k by bisection and works for every scheme.
+    Kept, with its one member, for callers that read
+    :attr:`RelayChainConfig.resolved_policy`.
     """
 
-    STEP_FROM_CAPACITY = "StepFromCapacity"
     LEVEL_COUNT_SEARCH = "LevelCountSearch"
-
-
-def _default_policy(scheme: Scheme) -> CapacityPolicy:
-    if scheme in (Scheme.SIMPLE_UNIFORM, Scheme.BMRQ):
-        return CapacityPolicy.STEP_FROM_CAPACITY
-    return CapacityPolicy.LEVEL_COUNT_SEARCH
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,6 @@ class RelayChainConfig:
     capacities: Tuple[int, ...]
     spec: QuantizerSpec
     domain: Tuple[float, float] = (0.0, 1.0)
-    policy: Optional[CapacityPolicy] = None
 
     def __post_init__(self) -> None:
         caps = tuple(self.capacities)
@@ -79,14 +74,12 @@ class RelayChainConfig:
         object.__setattr__(self, "domain", dom)
         if not (math.isfinite(dom[0]) and math.isfinite(dom[1]) and dom[0] < dom[1]):
             raise DomainError(f"domain must be a finite interval, got {dom!r}")
-        if self.policy is not None and not isinstance(self.policy, CapacityPolicy):
-            raise DomainError(f"unknown policy {self.policy!r}")
 
     @property
     def resolved_policy(self) -> CapacityPolicy:
-        if self.policy is not None:
-            return self.policy
-        return _default_policy(self.spec.scheme)
+        """Always ``LEVEL_COUNT_SEARCH``, the one capacity rule; kept for
+        callers that still read it."""
+        return CapacityPolicy.LEVEL_COUNT_SEARCH
 
 
 @dataclass(frozen=True)
@@ -100,37 +93,26 @@ class RelayTrace:
 
 
 def capacity_to_step(
-    spec: QuantizerSpec,
-    k: int,
-    domain: Tuple[float, float] = (0.0, 1.0),
-    policy: Optional[CapacityPolicy] = None,
+    spec: QuantizerSpec, k: int, domain: Tuple[float, float] = (0.0, 1.0)
 ) -> float:
     """Step bound for a link that can carry k distinct values.
 
-    Under ``LEVEL_COUNT_SEARCH`` this is the smallest step whose cell count
-    over the domain is at most k, located by 60 bisection steps on
-    (lo, width] and verified before returning.  A full-width step needs the
-    fewest cells the scheme can manage; ``lo`` starts at width/(k+1) and is
-    halved until it needs more than k cells, since a cell may be longer than
-    the step (merged DBMRQ cells reach twice it).
+    60 bisection steps on (lo, width] locate a step whose level count over
+    the domain is at most k while the bracket just below needs more; the
+    count is verified before returning.  A full-width step needs the fewest
+    cells the scheme can manage; ``lo`` starts at width/(k+1) and is halved
+    until it needs more than k cells, since a cell may be longer than the
+    step (merged DBMRQ cells reach twice it).  For the nested schemes the
+    count only falls as the step grows, so this is the smallest such step.
+    The uniform count need not: on (0.35, 1.35) it rises from 9 to 10 as
+    the step passes about 0.11667, so there the result is a verified
+    threshold, not a proven smallest step.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise DomainError(f"capacity must be an integer >= 2, got {k!r}")
     x0, x1 = float(domain[0]), float(domain[1])
     if not (math.isfinite(x0) and math.isfinite(x1) and x0 < x1):
         raise DomainError(f"domain must be a finite interval, got {domain!r}")
-    width = x1 - x0
-    if policy is None:
-        policy = _default_policy(spec.scheme)
-    if policy is CapacityPolicy.STEP_FROM_CAPACITY:
-        if spec.scheme is Scheme.SIMPLE_UNIFORM:
-            return width / k
-        if spec.scheme is Scheme.BMRQ:
-            return width * 2.0 ** -(k.bit_length() - 1)
-        raise DomainError(
-            f"no closed-form capacity rule for {spec.scheme.value}; "
-            "use LEVEL_COUNT_SEARCH"
-        )
     return _searched_step(spec, k, x0, x1)
 
 
@@ -159,10 +141,7 @@ def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
 
 
 def _chain_steps(cfg: RelayChainConfig) -> List[float]:
-    return [
-        capacity_to_step(cfg.spec, k, cfg.domain, cfg.resolved_policy)
-        for k in cfg.capacities
-    ]
+    return [capacity_to_step(cfg.spec, k, cfg.domain) for k in cfg.capacities]
 
 
 def _applied_steps(steps: Sequence[float]) -> List[Optional[float]]:
@@ -207,27 +186,17 @@ def run_chain(cfg: RelayChainConfig, x: float) -> RelayTrace:
 
 
 def average_chain_error(
-    cfg: RelayChainConfig,
-    p: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    sample_seed: Optional[int] = None,
+    cfg: RelayChainConfig, p: float, grid_size: int = DEFAULT_GRID_SIZE
 ) -> float:
-    """Mean of |final output - x|^p over the domain.
-
-    Deterministic midpoint-offset grid by default (no point ever sits on a
-    cell boundary of any reasonable step); pass ``sample_seed`` to use
-    seeded uniform sampling instead.
-    """
+    """Mean of |final output - x|^p over the domain, on a deterministic
+    midpoint-offset grid (no point ever sits on a cell boundary of any
+    reasonable step)."""
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
     if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 1:
         raise DomainError(f"grid_size must be a positive integer, got {grid_size!r}")
     x0, x1 = cfg.domain
-    if sample_seed is None:
-        xs = x0 + (np.arange(grid_size) + 0.5) * ((x1 - x0) / grid_size)
-    else:
-        rng = np.random.default_rng(sample_seed)
-        xs = rng.uniform(x0, x1, grid_size)
+    xs = x0 + (np.arange(grid_size) + 0.5) * ((x1 - x0) / grid_size)
     ys = xs.copy()
     for s in _applied_steps(_chain_steps(cfg)):
         if s is not None:

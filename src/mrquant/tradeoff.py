@@ -30,6 +30,7 @@ from .cdf_analysis import (
     BiasAlphaCdf,
     StepCdf,
     TwoPowUnifCdf,
+    _lattice_law,
     renyi_rate,
 )
 from .quantizers import DomainError, QuantizerSpec, Scheme
@@ -44,8 +45,6 @@ __all__ = [
     "refinement_inequality_value",
     "renewal_oracle_cdf",
 ]
-
-_OCTAVE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -94,23 +93,12 @@ def _validate_grid(x_grid: Sequence[float]) -> List[float]:
         raise DomainError("x_grid entries must be finite")
     return sorted(xs)
 
-def _dbmrq_octave_min(p: float, x: float) -> Tuple[float, float]:
-    """Smallest asymptotic L^p error with R_0 <= x for the dithered scheme.
 
-    R_0 at step s is exactly -log2 s, and doubling s doubles both atoms of
-    the size law, so the error is periodic in log2 s up to the factor 2^p.
-    Scanning one octave of t = log2 s starting at -x therefore covers the
-    infimum.
-    """
-    t = -x + np.linspace(0.0, 1.0, _OCTAVE_SAMPLES, endpoint=False)
-    m = np.floor(t)
-    u = 2.0 ** (m + 1.0 - t)  # in (1, 2]
-    # Renyi rate of order p+1 for atoms 2^m, 2^(m+1) with masses u-1, 2-u
-    integral = (u - 1.0) * 2.0 ** (p * m) + (2.0 - u) * 2.0 ** (p * (m + 1.0))
-    rate = -np.log2(integral) / p
-    err = 2.0 ** (-p * (rate + 1.0)) / (p + 1.0)
-    k = int(np.argmin(err))
-    return float(err[k]), float(2.0 ** t[k])
+def _lattice_error(law: StepCdf, p: float) -> float:
+    """Sum of m (g/2)^p / (p + 1) over the atoms; log2 keeps powers of two
+    exact, so the BMRQ staircase is exact."""
+    terms = zip(law.breakpoints.tolist(), law.masses.tolist())
+    return math.fsum(m * 2.0 ** (p * (math.log2(g) - 1.0)) for g, m in terms) / (p + 1.0)
 
 
 def tradeoff_curve(
@@ -119,11 +107,12 @@ def tradeoff_curve(
     """Asymptotic L^p error against a ceiling on the log-rate R_0.
 
     For each x in the grid, minimizes 2^(-p (R_{p+1} + 1)) / (p + 1) over all
-    steps s whose R_0 stays at or below x, using the exact step-s size laws
-    for the dyadic schemes and the stationary law with its log2(s) rate
-    shift for the biased tree.  Points the family cannot reach are skipped
-    with a warning; for these families every finite x is reachable, so that
-    is a guard rather than an expected path.
+    steps s whose R_0 stays at or below x.  The lattice schemes' error, from
+    their exact step-s size laws, rises with s, so the best step is 2^-x
+    (2^-floor(x) on the BMRQ staircase); the biased tree uses its stationary
+    law with the log2(s) rate shift.  Points the family cannot reach are
+    skipped with a warning; for these families every finite x is reachable,
+    so that is a guard rather than an expected path.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
@@ -131,24 +120,14 @@ def tradeoff_curve(
     xs = _validate_grid(x_grid)
     points: List[RateErrorPoint] = []
     for x in xs:
-        if spec.scheme is Scheme.SIMPLE_UNIFORM:
-            # single atom at s; all rates equal -log2 s, best s = 2^-x
-            err = 2.0 ** (-p * (x + 1.0)) / (p + 1.0)
-            s = 2.0 ** (-x)
-        elif spec.scheme is Scheme.BMRQ:
-            # single atom at 2^floor(log2 s): integer rates, staircase
-            k = math.floor(x)
-            err = 2.0 ** (-p * (k + 1.0)) / (p + 1.0)
-            s = 2.0 ** (-k)
-        elif spec.scheme is Scheme.DBMRQ:
-            err, s = _dbmrq_octave_min(p, x)
-        elif spec.scheme is Scheme.BBMRQ:
+        if spec.scheme is Scheme.BBMRQ:
             stationary = BiasAlphaCdf(spec.alpha)
             gap = renyi_rate(stationary, 0.0) - renyi_rate(stationary, p + 1.0)
             err = 2.0 ** (-p * (x + 1.0 - gap)) / (p + 1.0)
             s = 2.0 ** (renyi_rate(stationary, 0.0) - x)
-        else:  # pragma: no cover - exhaustive over Scheme
-            raise DomainError(f"unsupported scheme: {spec.scheme}")
+        else:
+            s = 2.0 ** -(math.floor(x) if spec.scheme is Scheme.BMRQ else x)
+            err = _lattice_error(_lattice_law(spec, s), p) if s > 0.0 else 0.0
         if not math.isfinite(err) or err <= 0.0:
             warnings.warn(
                 f"no step reaches log rate {x} for {spec.scheme.value}; "

@@ -133,12 +133,13 @@ class TestClosedForms:
                 )
 
     def test_dbmrq_atoms(self):
-        st = DbmrqAtomsCdf(1.5).as_step()
+        st = DbmrqAtomsCdf(1.5)
+        assert isinstance(st, StepCdf)
         np.testing.assert_array_equal(st.breakpoints, [1.0, 2.0])
         assert st.masses[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert st.masses[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
         # a power-of-two step collapses to a single atom at the step itself
-        st4 = DbmrqAtomsCdf(4.0).as_step()
+        st4 = DbmrqAtomsCdf(4.0)
         np.testing.assert_array_equal(st4.breakpoints, [4.0])
         np.testing.assert_array_equal(st4.masses, [1.0])
 
@@ -493,7 +494,7 @@ class TestFiniteWindowConvergence:
             m = math.frexp(s)[1] - 1
             period = math.ldexp(2.0, m)
             F = empirical_cell_cdf(QuantizerSpec.dbmrq(), s, 0.0, period * 1e4)
-            G = DbmrqAtomsCdf(s).as_step()
+            G = DbmrqAtomsCdf(s)
             for g, mass in zip(G.breakpoints, G.masses):
                 got = float(F.masses[np.isclose(F.breakpoints, g, rtol=1e-12)].sum())
                 assert got == pytest.approx(mass, abs=0.01)

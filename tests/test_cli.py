@@ -158,6 +158,20 @@ class TestCdfCommand:
         assert float(rows[0][1]) == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert rows[1][1] == "1"
 
+    def test_closed_form_one_atom_laws(self):
+        for scheme, atom in (("uniform", "0.69999999999999996"), ("bmrq", "0.5")):
+            code, out, _ = run_cli(["cdf", "--scheme", scheme, "--s", "0.7", "--closed-form"])
+            assert code == 0
+            assert out == f"gamma,F\n{atom},1\n"
+
+    def test_closed_form_rejects_bad_steps(self):
+        # bmrq used to print an atom at 2**floor(log2 s) even for s = -1 or inf
+        for scheme in ("uniform", "bmrq", "dbmrq"):
+            for s in ("-1", "0", "inf"):
+                code, _, err = run_cli(["cdf", "--scheme", scheme, "--s", s, "--closed-form"])
+                assert code == 2
+                assert "step bound" in err
+
     def test_closed_form_curve_is_a_cdf(self):
         code, out, _ = run_cli(
             ["cdf", "--scheme", "bbmrq", "--alpha", "0.6", "--s", "0.4", "--closed-form"]
@@ -385,13 +399,17 @@ class TestRelayCommand:
         assert "capacities" in err
 
     def test_bad_policy_name_is_a_config_error(self, tmp_path):
-        cfg = self.write_config(
-            tmp_path,
-            {"capacities": [4], "scheme": "uniform", "policy": "Greedy"},
-        )
-        code, _, err = run_cli(["relay", "--config", cfg, "--x", "0.5"])
-        assert code == 4
-        assert "policy" in err
+        # every link capacity is resolved by one rule, so a config may not
+        # name one: any policy key, even a former policy name, is unknown
+        for policy in ("Greedy", "LevelCountSearch", "StepFromCapacity", None):
+            cfg = self.write_config(
+                tmp_path,
+                {"capacities": [4], "scheme": "uniform", "policy": policy},
+            )
+            code, _, err = run_cli(["relay", "--config", cfg, "--x", "0.5"])
+            assert code == 4
+            assert "unknown config keys" in err
+            assert "policy" in err
 
     def test_semantic_errors_keep_the_domain_exit_code(self, tmp_path):
         cfg = self.write_config(

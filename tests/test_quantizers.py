@@ -365,6 +365,25 @@ class TestPaths:
         back = decode_path(spec, encode_path(spec, 1e-3, 1e3))
         assert (back.lo, back.hi, back.level) == (c.lo, c.hi, c.level)
 
+    @pytest.mark.parametrize(
+        "spec, path",
+        [
+            (BMRQ, PathCode(1, 0, (1,) * 60)),  # the index rounds: [1.0, 1.0)
+            (BMRQ, PathCode(1, -2000, (1,))),  # the cell ends past the largest float
+            (DBMRQ, PathCode(-1, -1100, ())),
+            (BMRQ, PathCode(1, 1074, (1,))),  # shorter than the smallest subnormal
+        ],
+    )
+    def test_unrepresentable_dyadic_paths_raise(self, spec, path):
+        with pytest.raises(PathCodeError):
+            decode_path(spec, path)
+
+    def test_widest_exact_dyadic_index(self):
+        # 53 bits still decode exactly, mirrored to the index -2**53
+        c = decode_path(BMRQ, PathCode(-1, 0, (1,) * 53))
+        assert (c.lo, c.hi) == (-1.0, math.nextafter(-1.0, 0.0))
+        assert c.lo <= c.level < c.hi
+
     def test_uniform_has_no_paths(self):
         with pytest.raises(PathCodeError):
             encode_path(UNIFORM, 0.5, 0.3)
