@@ -37,12 +37,7 @@ from .quantizers import (
     encode_path,
     quantize,
 )
-from .relay_sim import (
-    DEFAULT_GRID_SIZE,
-    RelayChainConfig,
-    adversarial_ratio,
-    run_chain,
-)
+from .relay_sim import RelayChainConfig, adversarial_ratio, run_chain
 from .tradeoff import tradeoff_curve
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -192,9 +187,7 @@ def _load_relay_config(path: str) -> RelayChainConfig:
 def _cmd_relay(args: argparse.Namespace) -> int:
     cfg = _load_relay_config(args.config)
     if args.adversary_budget is not None:
-        worst, ratio = adversarial_ratio(
-            cfg, args.adversary_budget, p=args.p, grid_size=args.grid_size
-        )
+        worst, ratio = adversarial_ratio(cfg, args.adversary_budget, p=args.p)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "relay.adversary",
@@ -304,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search worst capacity decrements within this total budget",
     )
     r.add_argument("--p", type=float, default=1.0)
-    r.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     r.set_defaults(func=_cmd_relay)
 
     v = sub.add_parser("verify", help="run self-check suites")

@@ -24,10 +24,12 @@ reconstruction level again with any coarser (or equal) step bound lands on the
 same output that quantizing the original input would have produced.  This
 holds bit for bit in float64, which requires some care: every cell endpoint is
 derived through one canonical computation path, so the same cell is never
-recomputed two different ways.  Biased-tree splits come only from
-:func:`_split` (over a memoized table of ``alpha**n``), dyadic levels only from
-:func:`_dyadic_level`; the vector BBMRQ descent is the one elementwise copy of
-the split rule.
+recomputed two different ways.  Biased-tree splits come from :func:`_split`
+(over a memoized table of ``alpha**n``), dyadic levels only from
+:func:`_dyadic_level`, midpoints only from :func:`_midpoint`.  A descent meets
+one base cell, whose split is its first step (see :func:`_biased_descent`), so
+the vector descent needs only the interior rule of :func:`_split`, applied
+elementwise.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 # only binds for alpha outside roughly (0.0025, 0.9975).
 _POW_TABLE_CAP = 300_000
 
-# Safety bound on tree descents; a sane descent needs ~log(range/s)/|log a|
-# steps, so hitting this means the split expression stopped making progress.
-_MAX_DESCENT = 10_000
-
 # Refuse enumerations that would materialize an absurd number of cells.
 _MAX_CELLS = 20_000_000
 
@@ -95,61 +93,64 @@ class _AlphaPowers:
     Nonnegative exponents are built by repeated multiplication from 1.0 and
     negative ones by repeated division, so each entry has exactly one
     rounding history and lookups are reproducible bit for bit.  The table is
-    read-only after construction.
+    one read-only array; scalar lookups go through a memoryview of it, which
+    hands out Python floats several times faster than indexing the array.
+
+    ``max_descent`` bounds the splits of any tree descent: node lengths lie
+    between 2^-1074 and 2^1024, 2 098 octaves apart, and a split shortens a
+    node by the factor max(alpha, 1 - alpha) or more, save for rounding.
     """
 
-    __slots__ = ("alpha", "_asc", "_asc_list", "n_min", "n_max")
+    __slots__ = ("alpha", "_asc", "_view", "n_min", "n_max", "max_descent")
 
     def __init__(self, alpha: float) -> None:
         if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
         self.alpha = alpha
-        pos = [1.0]
-        while len(pos) < _POW_TABLE_CAP:
-            v = pos[-1] * alpha
-            # For alpha > 1/2 the product never underflows to zero: it gets
-            # stuck at the smallest subnormal, so stop on any non-decrease.
-            if v <= 0.0 or v >= pos[-1]:
-                break
-            pos.append(v)
-        neg: List[float] = []  # neg[k] == alpha**(-(k+1))
-        prev = 1.0
-        while len(neg) < _POW_TABLE_CAP:
-            prev = prev / alpha
-            if math.isinf(prev):
-                break
-            neg.append(prev)
-        self.n_min = -len(neg)
-        self.n_max = len(pos) - 1
-        # Ascending view: _asc[k] == alpha**(n_max - k).
-        asc = pos[::-1] + neg
-        self._asc = np.array(asc)
-        self._asc_list = asc
+        self.max_descent = math.ceil(2100 / -math.log2(max(alpha, 1.0 - alpha))) + 64
+        # Either way the powers leave float64 within about 1075/-log2(alpha)
+        # steps, so this many always reach the end of the range or the cap.
+        size = min(_POW_TABLE_CAP, math.ceil(1100 / -math.log2(alpha)) + 1)
+        ramp = np.full(size + 1, alpha)
+        ramp[0] = 1.0
+        pos = np.multiply.accumulate(ramp[:size])  # pos[k] == alpha**k
+        with np.errstate(over="ignore"):
+            neg = np.divide.accumulate(ramp)[1:]  # neg[k] == alpha**(-(k+1))
+        # The products decrease until they underflow to zero or, for alpha >
+        # 1/2, stick at a subnormal, and stay there; the quotients stay inf
+        # once they overflow.  So both sides end at their first bad entry.
+        pos = pos[: 1 + np.count_nonzero((0.0 < pos[1:]) & (pos[1:] < pos[:-1]))]
+        neg = neg[np.isfinite(neg)]
+        self.n_min = -neg.size
+        self.n_max = pos.size - 1
+        self._asc = np.concatenate([pos[::-1], neg])  # _asc[k] == alpha**(n_max - k)
+        self._asc.flags.writeable = False
+        self._view = memoryview(self._asc)
 
-    def pow(self, n: int) -> float:
-        if self.n_min <= n <= self.n_max:
-            return self._asc_list[self.n_max - n]
+    def pow(self, n):
+        """``alpha**n`` for an int (a Python float), or elementwise for an
+        integer array."""
+        if isinstance(n, np.ndarray):
+            if not n.size or self.n_min <= n.min() and n.max() <= self.n_max:
+                return self._asc[self.n_max - n]
+        elif self.n_min <= n <= self.n_max:
+            return self._view[self.n_max - n]
         raise DomainError(
-            f"alpha**{n} is outside the tabulated float64 range for alpha={self.alpha}"
+            f"powers of alpha={self.alpha} are tabulated for {self.n_min} <= n <= {self.n_max} only"
         )
 
-    def largest_exponent_above(self, target: float) -> int:
-        """Largest integer n with ``alpha**n > target`` (table semantics)."""
-        k = bisect.bisect_right(self._asc_list, target)
-        if k >= len(self._asc_list):
-            raise DomainError(
-                f"no tabulated power of alpha={self.alpha} exceeds {target!r}"
-            )
-        return self.n_max - k
-
-    def largest_exponent_at_least(self, target: float) -> int:
-        """Largest integer n with ``alpha**n >= target``."""
-        k = bisect.bisect_left(self._asc_list, target)
-        if k >= len(self._asc_list):
-            raise DomainError(
-                f"no tabulated power of alpha={self.alpha} reaches {target!r}"
-            )
-        return self.n_max - k
+    def largest_exponent_above(self, target):
+        """Largest integer n with ``alpha**n > target`` (table semantics), for
+        a float (an int) or elementwise for an array."""
+        if isinstance(target, np.ndarray):
+            k = self._asc.searchsorted(target, side="right")
+            if not k.size or k.max() < self._asc.size:
+                return self.n_max - k
+        else:
+            k = bisect.bisect_right(self._view, target)
+            if k < self._asc.size:
+                return self.n_max - k
+        raise DomainError(f"no tabulated power of alpha={self.alpha} exceeds {np.max(target)!r}")
 
 
 @lru_cache(maxsize=32)
@@ -281,11 +282,18 @@ def _require_input(x: float) -> None:
         raise DomainError(f"input must be a finite real, got {x!r}")
 
 
-def _midpoint(lo: float, hi: float) -> float:
+def _midpoint(lo, hi):
+    """``0.5 * (lo + hi)``, or the float below ``hi`` where that rounds onto
+    ``hi`` or ``lo + hi`` overflows.  Takes floats, or arrays elementwise."""
+    if isinstance(lo, np.ndarray):
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        out = ~((lo <= mid) & (mid < hi))
+        if out.any():
+            mid[out] = np.nextafter(hi[out], -np.inf)
+        return mid
     mid = 0.5 * (lo + hi)
-    if not lo <= mid < hi:  # rounded onto hi, or lo + hi overflowed
-        mid = math.nextafter(hi, -math.inf)
-    return mid
+    return mid if lo <= mid < hi else math.nextafter(hi, -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +396,28 @@ def _split(
 def _biased_descent(
     spec: QuantizerSpec, s: float, x: float
 ) -> Tuple[float, float, int, List[int]]:
-    """Walk the biased tree to the cell of x >= 0; returns (lo, hi, n, bits)."""
+    """Walk the biased tree to the cell of x >= 0; returns (lo, hi, n, bits).
+
+    The walk starts at the base cell ``[0, alpha**n)`` with ``alpha**n >
+    max(x, s) >= alpha**(n+1)``.  Its split ``alpha**(n+1)`` is the only base
+    cell split the walk meets: x either leaves the base chain there or lands
+    in the leaf ``[0, alpha**(n+1))``, which is no longer than s.
+    """
     pows = spec._powers
     assert pows is not None
-    base_level = pows.largest_exponent_above(x if x > s else s)
-    lo, hi = 0.0, pows.pow(base_level)
-    bits: List[int] = []
-    for _ in range(_MAX_DESCENT):
+    n = pows.largest_exponent_above(x if x > s else s)
+    hi = pows.pow(n)
+    lo = _split(pows, spec.alpha, 0.0, hi, n)
+    if x < lo:
+        return 0.0, lo, n + 1, []
+    bits = [1]
+    for _ in range(pows.max_descent):
         if hi - lo <= s:
-            return lo, hi, base_level, bits
-        split = _split(pows, spec.alpha, lo, hi, base_level)
+            return lo, hi, n, bits
+        split = _split(pows, spec.alpha, lo, hi, n)
         if x >= split:
             bits.append(1)
             lo = split
-        elif lo == 0.0:
-            base_level += 1
-            hi = split
         else:
             bits.append(0)
             hi = split
@@ -536,9 +550,8 @@ def _enumerate_biased_nonneg(
     pows = spec._powers
     assert pows is not None
     alpha = spec.alpha
-    n_cover = pows.largest_exponent_at_least(b)
-    n_step = pows.largest_exponent_above(s)
-    n_start = min(n_cover, n_step)
+    # The smallest base cell that covers [0, b) and is longer than s.
+    n_start = pows.largest_exponent_above(max(math.nextafter(b, -math.inf), s))
     out: List[Cell] = []
     # Stack entries: (lo, hi, base_level, bits packed into an int, bit count).
     stack = [(0.0, pows.pow(n_start), n_start, 0, 0)]
@@ -607,23 +620,13 @@ def enumerate_cells(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List
 # Vectorized quantization
 
 
-def _as_sx_arrays(s, x) -> Tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), x.shape).copy()
-    if x.size and not np.isfinite(x).all():
-        raise DomainError("inputs must be finite")
-    if s.size and (not np.isfinite(s).all() or (s <= 0.0).any()):
-        raise DomainError("step bounds must be positive finite reals")
-    return s, x
-
-
 def _quantize_many_lattice(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Levels of :func:`_lattice_cell` elementwise, bit for bit: ldexp by
     ``-m`` rounds exactly as the scalar division by ``2**m`` does.
 
     The rare element the fast expressions get wrong -- an index too large to be exact or
-    one cell off, an end or a midpoint out of range -- fails one check and
-    goes through the scalar path, which repairs it or raises DomainError.
+    one cell off, an end out of range -- fails one check and goes through the
+    scalar path, which repairs it or raises DomainError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.scheme is Scheme.SIMPLE_UNIFORM:
@@ -633,51 +636,45 @@ def _quantize_many_lattice(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) ->
             m = _dyadic_level(spec, s, x)
             j = np.floor(np.ldexp(x, -m))
             lo, hi = np.ldexp(j, m), np.ldexp(j + 1.0, m)
-        mid = 0.5 * (lo + hi)
-    ok = (np.abs(j) < 2.0 ** 53) & (lo <= x) & (x < hi) & (lo < mid) & (mid < hi)
-    if not ok.all():
-        mid = np.array(mid)  # writable, whatever the shape
-        for i in np.flatnonzero(~ok):
-            mid.flat[i] = quantize(spec, s.flat[i], x.flat[i])
+        mid = _midpoint(lo, hi)
+    ok = (np.abs(j) < 2.0 ** 53) & (-np.inf < lo) & (lo <= x) & (x < hi) & (hi < np.inf)
+    for i in np.flatnonzero(~ok):
+        mid[i] = quantize(spec, s[i], x[i])
     return mid
 
 
 def _quantize_many_bbmrq(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_biased_descent` elementwise: the base cell's split first, then
+    the splits of the elements still descending, with the same checks."""
     pows = spec._powers
     assert pows is not None
     alpha = spec.alpha
-    asc = pows._asc
     ax = np.abs(x)
-    target = np.maximum(ax, s)
-    k = np.searchsorted(asc, target, side="right")
-    if (k >= asc.size).any():
-        raise DomainError("input magnitude exceeds the tabulated alpha power range")
-    hi = asc[k]
-    lo = np.zeros_like(hi)
-    active = (hi - lo) > s
-    iters = 0
-    while active.any():
-        iters += 1
-        if iters > _MAX_DESCENT:
-            raise DomainError("descent exceeded the iteration safety bound")
-        on_base = active & (lo == 0.0)
-        if (on_base & (k == 0)).any():
-            raise DomainError("step bound below the tabulated alpha power range")
-        k_next = np.maximum(k - 1, 0)
-        split = np.where(on_base, asc[k_next], lo + alpha * (hi - lo))
-        if (active & ((split <= lo) | (split >= hi))).any():
+    n = pows.largest_exponent_above(np.maximum(ax, s))
+    split = pows.pow(n + 1)
+    right = ax >= split
+    lo = np.where(right, split, 0.0)
+    hi = np.where(right, pows.pow(n), split)
+    todo = np.flatnonzero(hi - lo > s)
+    t_lo, t_hi, t_s, t_x = lo[todo], hi[todo], s[todo], ax[todo]
+    for _ in range(pows.max_descent):
+        if not todo.size:
+            break
+        split = t_lo + alpha * (t_hi - t_lo)
+        if ((split <= t_lo) | (split >= t_hi)).any():
             raise DomainError("descent stalled; step bound below resolvable range")
-        go_right = active & (ax >= split)
-        go_left = active & ~go_right
-        lo = np.where(go_right, split, lo)
-        hi = np.where(go_left, split, hi)
-        k = np.where(go_left & on_base, k_next, k)
-        active = (hi - lo) > s
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (lo + hi)
-    # the rule of _midpoint: nudge below hi where rounding or overflow left
-    # the midpoint outside [lo, hi)
-    mid = np.where((lo <= mid) & (mid < hi), mid, np.nextafter(hi, -np.inf))
+        right = t_x >= split
+        t_lo = np.where(right, split, t_lo)
+        t_hi = np.where(right, t_hi, split)
+        leaf = t_hi - t_lo <= t_s
+        if leaf.any():  # integer takes beat five boolean masks
+            done = np.flatnonzero(leaf)
+            lo[todo[done]], hi[todo[done]] = t_lo[done], t_hi[done]
+            more = np.flatnonzero(~leaf)
+            todo, t_lo, t_hi, t_s, t_x = todo[more], t_lo[more], t_hi[more], t_s[more], t_x[more]
+    else:
+        raise DomainError("descent exceeded the iteration safety bound")
+    mid = _midpoint(lo, hi)
     return np.where(x < 0.0, -mid, mid)
 
 
@@ -687,7 +684,11 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
     Matches the scalar implementation bit for bit (both run the same float64
     expressions, element by element).
     """
-    s_arr, x_arr = _as_sx_arrays(s, x)
-    if spec.scheme is Scheme.BBMRQ:
-        return _quantize_many_bbmrq(spec, s_arr, x_arr)
-    return _quantize_many_lattice(spec, s_arr, x_arr)
+    x = np.asarray(x, dtype=np.float64)
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64), x.shape)
+    if not np.isfinite(x).all():
+        raise DomainError("inputs must be finite")
+    if not np.isfinite(s).all() or (s <= 0.0).any():
+        raise DomainError("step bounds must be positive finite reals")
+    kernel = _quantize_many_bbmrq if spec.scheme is Scheme.BBMRQ else _quantize_many_lattice
+    return kernel(spec, s.ravel(), x.ravel()).reshape(x.shape)

@@ -190,7 +190,8 @@ def average_chain_error(
 ) -> float:
     """Mean of |final output - x|^p over the domain, on a deterministic
     midpoint-offset grid (no point ever sits on a cell boundary of any
-    reasonable step)."""
+    reasonable step).  The library always uses the default grid; ``grid_size``
+    stays for callers that check against a smaller one."""
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
     if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 1:
@@ -212,10 +213,7 @@ def _decrement_vectors(caps: Tuple[int, ...], budget: int):
 
 
 def adversarial_ratio(
-    cfg: RelayChainConfig,
-    budget: int,
-    p: float = 1.0,
-    grid_size: int = DEFAULT_GRID_SIZE,
+    cfg: RelayChainConfig, budget: int, p: float = 1.0
 ) -> Tuple[RelayChainConfig, float]:
     """Worst error inflation an adversary gets by shaving link capacities.
 
@@ -228,7 +226,7 @@ def adversarial_ratio(
         raise DomainError(f"budget must be a nonnegative integer, got {budget!r}")
     if budget == 0:
         return cfg, 1.0
-    base = average_chain_error(cfg, p, grid_size)
+    base = average_chain_error(cfg, p)
     if base == 0.0:
         raise DomainError("baseline error is zero on the evaluation grid")
     worst_cfg = cfg
@@ -236,7 +234,7 @@ def adversarial_ratio(
     for dec in _decrement_vectors(cfg.capacities, budget):
         caps = tuple(k - d for k, d in zip(cfg.capacities, dec))
         cand = replace(cfg, capacities=caps)
-        ratio = average_chain_error(cand, p, grid_size) / base
+        ratio = average_chain_error(cand, p) / base
         if ratio > worst_ratio:
             worst_cfg = cand
             worst_ratio = ratio

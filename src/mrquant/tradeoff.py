@@ -112,7 +112,9 @@ def tradeoff_curve(
     (2^-floor(x) on the BMRQ staircase); the biased tree uses its stationary
     law with the log2(s) rate shift.  Points the family cannot reach are
     skipped with a warning; for these families every finite x is reachable,
-    so that is a guard rather than an expected path.
+    so that is a guard rather than an expected path.  A point whose step or
+    error exceeds float64 (log rates below about -1023, or higher for large
+    p) raises DomainError.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
@@ -120,14 +122,17 @@ def tradeoff_curve(
     xs = _validate_grid(x_grid)
     points: List[RateErrorPoint] = []
     for x in xs:
-        if spec.scheme is Scheme.BBMRQ:
-            stationary = BiasAlphaCdf(spec.alpha)
-            gap = renyi_rate(stationary, 0.0) - renyi_rate(stationary, p + 1.0)
-            err = 2.0 ** (-p * (x + 1.0 - gap)) / (p + 1.0)
-            s = 2.0 ** (renyi_rate(stationary, 0.0) - x)
-        else:
-            s = 2.0 ** -(math.floor(x) if spec.scheme is Scheme.BMRQ else x)
-            err = _lattice_error(_lattice_law(spec, s), p) if s > 0.0 else 0.0
+        try:
+            if spec.scheme is Scheme.BBMRQ:
+                stationary = BiasAlphaCdf(spec.alpha)
+                gap = renyi_rate(stationary, 0.0) - renyi_rate(stationary, p + 1.0)
+                err = 2.0 ** (-p * (x + 1.0 - gap)) / (p + 1.0)
+                s = 2.0 ** (renyi_rate(stationary, 0.0) - x)
+            else:
+                s = 2.0 ** -(math.floor(x) if spec.scheme is Scheme.BMRQ else x)
+                err = _lattice_error(_lattice_law(spec, s), p) if s > 0.0 else 0.0
+        except OverflowError:
+            raise DomainError(f"log rate {x} overflows float64 for {spec.scheme.value}") from None
         if not math.isfinite(err) or err <= 0.0:
             warnings.warn(
                 f"no step reaches log rate {x} for {spec.scheme.value}; "

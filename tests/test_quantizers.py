@@ -29,6 +29,7 @@ from mrquant import (
     quantize_many,
     tree_interval,
 )
+from mrquant.quantizers import _POW_TABLE_CAP, _AlphaPowers, _midpoint
 
 UNIFORM = QuantizerSpec.uniform()
 BMRQ = QuantizerSpec.bmrq()
@@ -63,6 +64,31 @@ def rational_biased_interval(alpha: Fraction, s: Fraction, x: Fraction):
         else:
             lo = split
     return lo, hi
+
+
+def loop_powers(alpha: float):
+    """``alpha**n`` built by one multiplication or division per entry, as
+    plain Python loops: ``(pos, neg)`` with ``pos[k] == alpha**k`` and
+    ``neg[k] == alpha**-(k+1)``, each ending where float64 does or at the cap."""
+    pos = [1.0]
+    while len(pos) < _POW_TABLE_CAP:
+        v = pos[-1] * alpha
+        if v <= 0.0 or v >= pos[-1]:  # underflowed, or stuck at a subnormal
+            break
+        pos.append(v)
+    neg = []
+    prev = 1.0
+    while len(neg) < _POW_TABLE_CAP:
+        prev = prev / alpha
+        if math.isinf(prev):
+            break
+        neg.append(prev)
+    return pos, neg
+
+
+def nonstandard(alpha: float) -> QuantizerSpec:
+    with pytest.warns(UserWarning):
+        return QuantizerSpec.bbmrq(alpha, nonstandard_alpha=True)
 
 
 def assert_close_to_fraction(value: float, exact: Fraction, rel=1e-13):
@@ -286,6 +312,46 @@ class TestBbmrqCells:
             )
 
 
+class TestAlphaPowers:
+    # 0.51-0.74 stick at 5e-324, 0.9 at a larger subnormal, 0.3 and 0.5
+    # underflow to zero, and 0.999 and 0.99999 stop at the cap on both sides.
+    @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.74, 0.9, 0.3, 0.5, 0.999, 0.99999])
+    def test_table_matches_sequential_loops(self, alpha):
+        pows = _AlphaPowers(alpha)
+        pos, neg = loop_powers(alpha)
+        assert (pows.n_min, pows.n_max) == (-len(neg), len(pos) - 1)
+        assert pows._asc.tobytes() == np.array(pos[::-1] + neg).tobytes()
+
+    def test_lookups_take_floats_and_arrays(self):
+        pows = _AlphaPowers(0.6)
+        ns = np.arange(pows.n_min, pows.n_max + 1)
+        table = pows.pow(ns)
+        assert type(pows.pow(3)) is float
+        assert [pows.pow(int(n)) for n in ns] == table.tolist()
+        # alpha**k itself has exponent k - 1, the float just below it k
+        targets = np.concatenate([table[1:], np.nextafter(table, 0.0), [0.0, 0.37, 5.3]])
+        found = pows.largest_exponent_above(targets)
+        assert type(pows.largest_exponent_above(0.37)) is int
+        assert [pows.largest_exponent_above(t) for t in targets.tolist()] == found.tolist()
+        assert (pows.pow(found) > targets).all()
+        below = found < pows.n_max
+        assert (pows.pow(found[below] + 1) <= targets[below]).all()
+        assert pows.largest_exponent_above(np.empty(0)).size == 0
+
+    def test_lookups_outside_the_table_raise(self):
+        pows = _AlphaPowers(0.6)
+        top = pows.pow(pows.n_min)
+        for bad in (pows.n_min - 1, pows.n_max + 1):
+            with pytest.raises(DomainError):
+                pows.pow(bad)
+            with pytest.raises(DomainError):
+                pows.pow(np.array([0, bad]))
+        with pytest.raises(DomainError):
+            pows.largest_exponent_above(top)
+        with pytest.raises(DomainError):
+            pows.largest_exponent_above(np.array([1.0, top]))
+
+
 class TestTreeInterval:
     def test_documented_intervals(self):
         assert tree_interval(0.6, PathCode(1, 0, (1, 0))) == (0.6, 0.6 + 0.6 * 0.4)
@@ -364,6 +430,14 @@ class TestPaths:
         assert len(c.path.bits) > 1000
         back = decode_path(spec, encode_path(spec, 1e-3, 1e3))
         assert (back.lo, back.hi, back.level) == (c.lo, c.hi, c.level)
+
+    def test_descent_deeper_than_ten_thousand_splits(self):
+        spec = nonstandard(0.999)
+        c = cell_of(spec, 1e-8, 1.0)
+        assert len(c.path.bits) > 10_000
+        assert c == enumerate_cells(spec, 1e-8, 1.0, 1.0 + 1e-7)[0]
+        assert quantize_many(spec, 1e-8, np.array([1.0]))[0] == c.level
+        assert decode_path(spec, c.path) == c
 
     @pytest.mark.parametrize(
         "spec, path",
@@ -468,6 +542,58 @@ class TestQuantizeMany:
         vec = quantize_many(BB6, 0.25, xs)
         ref = np.array([quantize(BB6, 0.25, float(x)) for x in xs])
         assert np.array_equal(vec, ref)
+
+    def test_bbmrq_parity_across_depths_and_shapes(self):
+        rng = np.random.default_rng(20)
+        xs = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 3, 4000)
+        ss = 10.0 ** rng.uniform(-6, 1, 4000)
+        ref = np.array([quantize(BB6, float(a), float(b)) for a, b in zip(ss, xs)])
+        assert quantize_many(BB6, ss, xs).tobytes() == ref.tobytes()
+        grid = quantize_many(BB6, ss.reshape(40, 100), xs.reshape(40, 100))
+        assert grid.shape == (40, 100) and grid.tobytes() == ref.tobytes()
+        zero_d = quantize_many(BB6, ss[7], xs[7])
+        assert zero_d.shape == () and zero_d.tobytes() == ref[7].tobytes()
+        assert quantize_many(BB6, 0.5, np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.3, 0.999])
+    def test_bbmrq_table_ends_raise_where_the_scalar_path_does(self, alpha):
+        spec = QuantizerSpec.bbmrq(alpha) if 0.5 < alpha < 0.75 else nonstandard(alpha)
+        pows = spec._powers
+        top, bottom = pows.pow(pows.n_min), pows.pow(pows.n_max)
+        below_top = math.nextafter(top, 0.0)
+        pairs = [
+            (top, 1.0), (-top, 1.0), (0.0, top), (below_top, below_top), (-below_top, below_top),
+            (0.0, bottom), (bottom, bottom), (0.0, math.nextafter(bottom, 0.0)),
+            (-0.5 * bottom, 0.5 * bottom), (0.0, 5e-324), (1.0, 5e-324 if alpha < 0.9 else 1e-3),
+        ]
+        pairs = [(x, s) for x, s in pairs if s > 0.0]
+        levels = []
+        for x, s in pairs:
+            try:
+                level = quantize(spec, s, x)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    quantize_many(spec, s, np.array([x]))
+                continue
+            assert quantize_many(spec, s, np.array([x]))[0] == level
+            levels.append((x, s, level))
+        assert 0 < len(levels) < len(pairs)
+        xs, ss = np.array(pairs).T
+        with pytest.raises(DomainError):
+            quantize_many(spec, ss, xs)
+        xs, ss, ref = np.array(levels).T
+        assert quantize_many(spec, ss, xs).tobytes() == ref.tobytes()
+
+    def test_midpoint_of_arrays_matches_floats(self):
+        one_ulp = math.nextafter(1.0, 2.0)
+        big = 1.7976931348623157e308
+        # a plain cell, midpoints rounding onto lo and onto hi, lo + hi
+        # overflowing, and a two-subnormal cell
+        lo = [0.0, 1.0, one_ulp, 0.5 * big, -big, 5e-324]
+        hi = [3.0, one_ulp, math.nextafter(one_ulp, 2.0), big, big, 1e-323]
+        ref = np.array([_midpoint(a, b) for a, b in zip(lo, hi)])
+        assert _midpoint(np.array(lo), np.array(hi)).tobytes() == ref.tobytes()
+        assert (np.array(lo) <= ref).all() and (ref < np.array(hi)).all()
 
     def test_rejects_bad_arrays(self):
         with pytest.raises(DomainError):

@@ -185,6 +185,21 @@ class TestTradeoffCurve:
         pts = tradeoff_curve(BMRQ, 1.0, [2.0, 0.0, 1.0])
         assert [q.log_rate for q in pts] == [0.0, 1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "spec, p, x",
+        [
+            (UNIFORM, 1.0, -1100.0),  # the step 2**1100 overflows
+            (BMRQ, 1.0, -1100.0),
+            (DBMRQ, 1.0, -1100.0),
+            (UNIFORM, 6.0, -200.0),  # the error (s/2)**6 overflows
+            (bias_spec(0.6), 3.0, -400.0),
+            (bias_spec(0.6), 0.5, -1100.0),
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, spec, p, x):
+        with pytest.raises(DomainError):
+            tradeoff_curve(spec, p, [x])
+
 
 class TestConverseBound:
     def test_p1_closed_form(self):
