@@ -30,7 +30,8 @@ from .quantizers import (
     DomainError,
     QuantizerSpec,
     Scheme,
-    enumerate_cells,
+    _window_cells,
+    enumerate_cells,  # noqa: F401 - not called here; perfbench's traced run wraps it
 )
 
 __all__ = [
@@ -205,13 +206,12 @@ CdfLike = Union[StepCdf, BiasAlphaCdf, TwoPowUnifCdf]
 def _clipped_cells(
     spec: QuantizerSpec, s: float, x0: float, x1: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, level, clipped length) arrays over the window's cells."""
-    cells = enumerate_cells(spec, s, x0, x1)
-    lo = np.fromiter((c.lo for c in cells), dtype=np.float64, count=len(cells))
-    hi = np.fromiter((c.hi for c in cells), dtype=np.float64, count=len(cells))
-    lvl = np.fromiter((c.level for c in cells), dtype=np.float64, count=len(cells))
+    """(lo, hi, level, clipped length) arrays over the window's pieces of
+    positive length; a mirrored BBMRQ cell ``(a, x0]`` meets it in x0 only."""
+    lo, hi, lvl = _window_cells(spec, s, x0, x1)
     clipped = np.minimum(hi, x1) - np.maximum(lo, x0)
-    return lo, hi, lvl, clipped
+    keep = clipped > 0.0
+    return lo[keep], hi[keep], lvl[keep], clipped[keep]
 
 
 def empirical_cell_cdf(spec: QuantizerSpec, s: float, x0: float, x1: float) -> StepCdf:
@@ -355,17 +355,18 @@ def scale_shift_rate(rate_at_unit_step: float, s: float) -> float:
 def count_levels(spec: QuantizerSpec, s: float, x0: float, x1: float) -> int:
     """Number of distinct output levels on the window ``[x0, x1)``.
 
-    Computed by direct enumeration.  The test suite checks it against the
-    level-count integral ``(x1 - x0) * integral of 1/size dF`` evaluated in
-    exact rational arithmetic.
+    These are the cells :func:`~mrquant.quantizers.enumerate_cells` lists,
+    counted from the vector cell rule's arrays.  The test suite checks the
+    count against the level-count integral ``(x1 - x0) * integral of 1/size
+    dF`` evaluated in exact rational arithmetic.
     """
-    return len(enumerate_cells(spec, s, x0, x1))
+    return _window_cells(spec, s, x0, x1)[0].size
 
 
 def output_entropy(spec: QuantizerSpec, s: float, x0: float, x1: float) -> float:
     """Shannon entropy (bits) of the quantizer output for uniform input."""
     _, _, _, clipped = _clipped_cells(spec, s, x0, x1)
-    w = clipped[clipped > 0.0] / (x1 - x0)
+    w = clipped / (x1 - x0)
     return float(-(w @ np.log2(w)))
 
 

@@ -30,6 +30,11 @@ recomputed two different ways.  Biased-tree splits come from :func:`_split`
 one base cell, whose split is its first step (see :func:`_biased_descent`), so
 the vector descent needs only the interior rule of :func:`_split`, applied
 elementwise.
+
+The scalar rule :func:`cell_of` and the vector rule :func:`_cells_many` give the
+same cells bit for bit.  The vector rule serves :func:`quantize_many` and
+:func:`_window_cells`, the window listing the analysis layer reads without a
+:class:`Cell` per cell; :func:`enumerate_cells` is its scalar oracle.
 """
 
 from __future__ import annotations
@@ -517,135 +522,41 @@ def encode_path(spec: QuantizerSpec, s: float, x: float) -> PathCode:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Vector cell rule
 
 
-def _cell_budget(spec: QuantizerSpec, s: float, x0: float, x1: float) -> None:
-    if spec.scheme is Scheme.BBMRQ:
-        finest = (1.0 - spec.alpha) * s
-    else:
-        finest = 0.5 * s
-    if (x1 - x0) / finest > _MAX_CELLS:
-        raise DomainError(
-            f"enumerating [{x0}, {x1}) at step {s} would exceed "
-            f"{_MAX_CELLS} cells"
-        )
+def _cells_many(
+    spec: QuantizerSpec, s: np.ndarray, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cell_of` elementwise, bit for bit: the ``(lo, hi, level)``
+    arrays of the cells of the flat array ``x`` at the steps ``s``.
 
-
-def _enumerate_lattice(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
-    # Walking x <- cell.hi is exact: a cell's upper end is the next one's lower.
-    out = []
-    x = x0
-    while x < x1:
-        cell = _lattice_cell(spec, s, x)
-        out.append(cell)
-        x = cell.hi
-    return out
-
-
-def _enumerate_biased_nonneg(
-    spec: QuantizerSpec, s: float, a: float, b: float
-) -> List[Cell]:
-    """BBMRQ cells meeting [a, b) for 0 <= a < b, in ascending order."""
-    pows = spec._powers
-    assert pows is not None
-    alpha = spec.alpha
-    # The smallest base cell that covers [0, b) and is longer than s.
-    n_start = pows.largest_exponent_above(max(math.nextafter(b, -math.inf), s))
-    out: List[Cell] = []
-    # Stack entries: (lo, hi, base_level, bits packed into an int, bit count).
-    stack = [(0.0, pows.pow(n_start), n_start, 0, 0)]
-    while stack:
-        lo, hi, base_level, packed, nbits = stack.pop()
-        if hi <= a or lo >= b:
-            continue
-        if hi - lo <= s:
-            bits = tuple((packed >> (nbits - 1 - i)) & 1 for i in range(nbits))
-            out.append(Cell(lo, hi, _midpoint(lo, hi), PathCode(1, base_level, bits)))
-            continue
-        split = _split(pows, alpha, lo, hi, base_level)
-        if lo == 0.0:
-            right = (split, hi, base_level, 1, 1)
-            left = (0.0, split, base_level + 1, 0, 0)
-        else:
-            right = (split, hi, base_level, (packed << 1) | 1, nbits + 1)
-            left = (lo, split, base_level, packed << 1, nbits + 1)
-        stack.append(right)
-        stack.append(left)
-    return out
-
-
-def _mirror_cell(c: Cell) -> Cell:
-    assert c.path is not None
-    return Cell(-c.hi, -c.lo, -c.level, PathCode(-c.path.sign, c.path.base_level, c.path.bits))
-
-
-def _enumerate_biased(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
-    if x0 >= 0.0:
-        return _enumerate_biased_nonneg(spec, s, x0, x1)
-    # A mirrored cell [-hi, -lo) meets [x0, x1) iff its positive original has
-    # hi > -x1 and lo <= -x0 (the boundary case lo == -x0 is the cell that
-    # odd symmetry assigns to x0 itself).  Pushing the upper bound one ulp
-    # past -x0 turns lo <= -x0 into the enumerator's strict lo < bound.
-    upper = math.nextafter(-x0, math.inf)
-    if x1 <= 0.0:
-        pos = _enumerate_biased_nonneg(spec, s, -x1, upper)
-        return [_mirror_cell(c) for c in reversed(pos)]
-    pos = _enumerate_biased_nonneg(spec, s, 0.0, upper)
-    neg = [_mirror_cell(c) for c in reversed(pos)]
-    return neg + _enumerate_biased_nonneg(spec, s, 0.0, x1)
-
-
-def enumerate_cells(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
-    """All cells meeting ``[x0, x1)``, ascending, sharing endpoints bitwise.
-
-    The first cell contains ``x0`` and the last contains the supremum of the
-    window; end cells are returned whole, not clipped.
-    """
-    _require_step(s)
-    _require_input(x0)
-    _require_input(x1)
-    if not x0 < x1:
-        raise DomainError(f"need x0 < x1, got [{x0!r}, {x1!r})")
-    s = float(s)
-    x0 = float(x0)
-    x1 = float(x1)
-    _cell_budget(spec, s, x0, x1)
-    if spec.scheme is Scheme.BBMRQ:
-        return _enumerate_biased(spec, s, x0, x1)
-    return _enumerate_lattice(spec, s, x0, x1)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized quantization
-
-
-def _quantize_many_lattice(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Levels of :func:`_lattice_cell` elementwise, bit for bit: ldexp by
-    ``-m`` rounds exactly as the scalar division by ``2**m`` does.
-
-    The rare element the fast expressions get wrong -- an index too large to be exact or
-    one cell off, an end out of range -- fails one check and goes through the
+    Lattice cells come from the index expressions of :func:`_lattice_cell`;
+    ldexp by ``-m`` rounds exactly as the scalar division by ``2**m`` does.
+    The rare element they get wrong -- an index too large to be exact or one
+    cell off, an end out of range -- fails one check and goes through the
     scalar path, which repairs it or raises DomainError.
+
+    BBMRQ cells come from :func:`_biased_descent` on ``|x|``: the base cell's
+    split first, then the splits of the elements still descending, with the
+    same checks.  A negative ``x`` gets the mirror image of its positive
+    cell, whose level is the negated midpoint of that cell.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.scheme is Scheme.SIMPLE_UNIFORM:
-            j = np.floor(x / s)
-            lo, hi = j * s, (j + 1.0) * s
-        else:
-            m = _dyadic_level(spec, s, x)
-            j = np.floor(np.ldexp(x, -m))
-            lo, hi = np.ldexp(j, m), np.ldexp(j + 1.0, m)
-        mid = _midpoint(lo, hi)
-    ok = (np.abs(j) < 2.0 ** 53) & (-np.inf < lo) & (lo <= x) & (x < hi) & (hi < np.inf)
-    for i in np.flatnonzero(~ok):
-        mid[i] = quantize(spec, s[i], x[i])
-    return mid
-
-
-def _quantize_many_bbmrq(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`_biased_descent` elementwise: the base cell's split first, then
-    the splits of the elements still descending, with the same checks."""
+    if spec.scheme is not Scheme.BBMRQ:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.scheme is Scheme.SIMPLE_UNIFORM:
+                j = np.floor(x / s)
+                lo, hi = j * s, (j + 1.0) * s
+            else:
+                m = _dyadic_level(spec, s, x)
+                j = np.floor(np.ldexp(x, -m))
+                lo, hi = np.ldexp(j, m), np.ldexp(j + 1.0, m)
+            mid = _midpoint(lo, hi)
+        ok = (np.abs(j) < 2.0 ** 53) & (-np.inf < lo) & (lo <= x) & (x < hi) & (hi < np.inf)
+        for i in np.flatnonzero(~ok):
+            c = cell_of(spec, s[i], x[i])
+            lo[i], hi[i], mid[i] = c.lo, c.hi, c.level
+        return lo, hi, mid
     pows = spec._powers
     assert pows is not None
     alpha = spec.alpha
@@ -675,7 +586,8 @@ def _quantize_many_bbmrq(spec: QuantizerSpec, s: np.ndarray, x: np.ndarray) -> n
     else:
         raise DomainError("descent exceeded the iteration safety bound")
     mid = _midpoint(lo, hi)
-    return np.where(x < 0.0, -mid, mid)
+    neg = x < 0.0
+    return np.where(neg, -hi, lo), np.where(neg, -lo, hi), np.where(neg, -mid, mid)
 
 
 def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
@@ -690,5 +602,83 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
         raise DomainError("inputs must be finite")
     if not np.isfinite(s).all() or (s <= 0.0).any():
         raise DomainError("step bounds must be positive finite reals")
-    kernel = _quantize_many_bbmrq if spec.scheme is Scheme.BBMRQ else _quantize_many_lattice
-    return kernel(spec, s.ravel(), x.ravel()).reshape(x.shape)
+    return _cells_many(spec, s.ravel(), x.ravel())[2].reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# Windows
+
+
+def _checked_window(
+    spec: QuantizerSpec, s: float, x0: float, x1: float
+) -> Tuple[float, float, float, int]:
+    """The checked floats ``(s, x0, x1)`` and the window's grid size: one
+    point per shortest cell the scheme can have, ``min(alpha, 1 - alpha) * s``
+    for BBMRQ and ``s / 2`` otherwise, plus one.  It comes from ``(x1 - x0) /
+    s``, so no underflowed cell length divides it, and as it bounds the cells
+    too, it may not exceed :data:`_MAX_CELLS`.
+    """
+    _require_step(s)
+    _require_input(x0)
+    _require_input(x1)
+    if not x0 < x1:
+        raise DomainError(f"need x0 < x1, got [{x0!r}, {x1!r})")
+    s, x0, x1 = float(s), float(x0), float(x1)
+    shortest = min(spec.alpha, 1.0 - spec.alpha) if spec.scheme is Scheme.BBMRQ else 0.5
+    points = (x1 - x0) / s / shortest
+    if not points <= _MAX_CELLS:
+        raise DomainError(
+            f"enumerating [{x0}, {x1}) at step {s} would exceed {_MAX_CELLS} cells"
+        )
+    return s, x0, x1, math.floor(points) + 1
+
+
+def enumerate_cells(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
+    """All cells meeting ``[x0, x1)``, ascending, sharing endpoints bitwise.
+
+    The first cell contains ``x0`` and the last reaches ``x1``; end cells are
+    returned whole, not clipped.  This is the scalar oracle of the window: a
+    walk over :func:`cell_of` from ``x0``, each cell starting where the last
+    one ends -- one ulp further past the upper end of a mirrored BBMRQ cell,
+    which that cell contains -- until a cell reaches ``x1``.
+    """
+    s, x0, x1, _ = _checked_window(spec, s, x0, x1)
+    mirrors = spec.scheme is Scheme.BBMRQ
+    cells = [cell_of(spec, s, x0)]
+    while cells[-1].hi < x1:
+        x = cells[-1].hi
+        cells.append(cell_of(spec, s, math.nextafter(x, math.inf) if mirrors and x < 0.0 else x))
+    return cells
+
+
+def _window_cells(
+    spec: QuantizerSpec, s: float, x0: float, x1: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(lo, hi, level)`` arrays of the cells :func:`enumerate_cells`
+    lists, from the vector rule on a grid from ``x0``, spaced just under the
+    shortest cell, to the last float below ``x1``: the first grid point of
+    each cell is kept.  Rounding can step over a cell, so the rule runs again
+    on the float after each cell that the next cell does not start at, or
+    that falls short of ``x1``, until no gap is left.  A mirrored cell holds
+    its upper end but not its lower one, so its floats begin and end one ulp
+    above its ends.
+    """
+    s, x0, x1, n = _checked_window(spec, s, x0, x1)
+    grid = x0 + (x1 - x0) / n * np.arange(n)
+    grid = np.append(grid[grid < x1], math.nextafter(x1, -math.inf))
+    lo, hi, level = _cells_many(spec, np.full(grid.size, s), grid)
+    first = np.append(True, lo[1:] != lo[:-1])
+    lo, hi, level = lo[first], hi[first], level[first]
+
+    def first_float(end: np.ndarray) -> np.ndarray:
+        if spec.scheme is not Scheme.BBMRQ:
+            return end
+        return np.where(end < 0.0, np.nextafter(end, np.inf), end)
+
+    while True:
+        after = first_float(hi)
+        gap = np.flatnonzero(np.append(after[:-1] < first_float(lo[1:]), hi[-1] < x1))
+        if not gap.size:
+            return lo, hi, level
+        new = _cells_many(spec, np.full(gap.size, s), after[gap])
+        lo, hi, level = (np.insert(old, gap + 1, add) for old, add in zip((lo, hi, level), new))

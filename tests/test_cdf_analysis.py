@@ -196,6 +196,40 @@ class TestEmpiricalCdf:
         with pytest.raises(DomainError):
             empirical_cell_cdf(QuantizerSpec.bmrq(), 1.0, 2.0, 2.0)
 
+    def test_window_starting_on_a_mirrored_cell_end(self):
+        # x0 = -0.6 closes the mirrored cell (-1, -0.6], which meets the
+        # window only there: its level counts, but it adds no piece.
+        spec = QuantizerSpec.bbmrq(0.6)
+        cells = enumerate_cells(spec, 0.5, -0.6, 1.0)
+        assert (cells[0].lo, cells[0].hi) == (-1.0, -0.6)
+        assert count_levels(spec, 0.5, -0.6, 1.0) == len(cells) == 6
+        F = empirical_cell_cdf(spec, 0.5, -0.6, 1.0)
+        np.testing.assert_allclose(F.breakpoints, [0.24, 0.36, 0.4], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(F.masses, [0.3, 0.45, 0.25], rtol=0, atol=1e-15)
+        w = np.array([0.24, 0.36, 0.24, 0.36, 0.4]) / 1.6
+        assert output_entropy(spec, 0.5, -0.6, 1.0) == pytest.approx(-(w @ np.log2(w)), abs=1e-12)
+        interior = sum(g * (g / 2) ** 2 / 3 for g in (0.24, 0.36, 0.24, 0.36, 0.4)) / 1.6
+        assert lp_error_exact(spec, 0.5, -0.6, 1.0, 2.0) == pytest.approx(interior, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            QuantizerSpec.uniform(),
+            QuantizerSpec.bmrq(),
+            QuantizerSpec.dbmrq(),
+            QuantizerSpec.bbmrq(0.6),
+        ],
+        ids=lambda s: s.scheme.value,
+    )
+    def test_window_at_the_smallest_step(self, spec):
+        # One cell, [0, 5e-324); the cell budget once divided by an underflowed length.
+        args = (spec, 5e-324, 0.0, 5e-324)
+        F = empirical_cell_cdf(*args)
+        assert (F.breakpoints.tolist(), F.masses.tolist()) == ([5e-324], [1.0])
+        assert count_levels(*args) == 1
+        assert output_entropy(*args) == 0.0
+        assert lp_error_exact(*args, 1.0) == 0.0
+
 
 class TestLevyDistance:
     def test_identity(self):

@@ -149,6 +149,18 @@ class TestCdfCommand:
         assert code == 0
         assert out == "gamma,F\n0.5,1\n"
 
+    def test_window_starting_on_a_mirrored_cell_end(self):
+        # The mirrored cell (-1, -0.6] meets this window only at x0 = -0.6;
+        # its zero-length piece once failed the cdf with exit 2.
+        code, out, err = run_cli(
+            ["cdf", "--scheme", "bbmrq", "--alpha", "0.6", "--s", "0.5",
+             "--x0", "-0.6", "--x1", "1"]
+        )
+        assert code == 0, err
+        header, rows = csv_rows(out)
+        assert [float(g) for g, _ in rows] == pytest.approx([0.24, 0.36, 0.4], abs=1e-15)
+        assert [float(f) for _, f in rows] == pytest.approx([0.3, 0.75, 1.0], abs=1e-15)
+
     def test_closed_form_two_atom_law(self):
         code, out, _ = run_cli(["cdf", "--scheme", "dbmrq", "--s", "1.5", "--closed-form"])
         assert code == 0

@@ -1,7 +1,9 @@
-"""The package namespace re-exports the public names of its library modules."""
+"""The package namespace re-exports the public names of its library modules,
+and the benchmark finds the names it wraps."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,17 @@ def test_submodule_public_names_are_reexported(module):
 
 def test_package_names_exist():
     assert [name for name in mrquant.__all__ if not hasattr(mrquant, name)] == []
+
+
+def test_perfbench_wraps_resolve(monkeypatch):
+    # The benchmark's traced run wraps these names by getattr; a rename
+    # should fail here, not in `perfbench/run.py --trace 1`.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    importlib.import_module("workloads")
+    wraps = importlib.import_module("layers").WRAPS
+    missing = [
+        (module, attr)
+        for module, attr, _ in wraps
+        if not hasattr(importlib.import_module(f"mrquant.{module}"), attr)
+    ]
+    assert wraps and missing == []

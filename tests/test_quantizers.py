@@ -7,6 +7,7 @@ discrepancy left is float rounding inside the library.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +30,24 @@ from mrquant import (
     quantize_many,
     tree_interval,
 )
-from mrquant.quantizers import _POW_TABLE_CAP, _AlphaPowers, _midpoint
+from mrquant.quantizers import _POW_TABLE_CAP, _AlphaPowers, _midpoint, _window_cells
 
 UNIFORM = QuantizerSpec.uniform()
 BMRQ = QuantizerSpec.bmrq()
 DBMRQ = QuantizerSpec.dbmrq()
 BB6 = QuantizerSpec.bbmrq(0.6)
+BB74 = QuantizerSpec.bbmrq(0.74)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UserWarning)
+    BB3 = QuantizerSpec.bbmrq(0.3, nonstandard_alpha=True)
+WINDOW_SPECS = {
+    "uniform": UNIFORM,
+    "bmrq": BMRQ,
+    "dbmrq": DBMRQ,
+    "bbmrq0.6": BB6,
+    "bbmrq0.74": BB74,
+    "bbmrq0.3": BB3,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +448,7 @@ class TestPaths:
         spec = nonstandard(0.999)
         c = cell_of(spec, 1e-8, 1.0)
         assert len(c.path.bits) > 10_000
-        assert c == enumerate_cells(spec, 1e-8, 1.0, 1.0 + 1e-7)[0]
+        assert c == enumerate_cells(spec, 1e-8, 1.0, 1.0 + 1e-8)[0]
         assert quantize_many(spec, 1e-8, np.array([1.0]))[0] == c.level
         assert decode_path(spec, c.path) == c
 
@@ -495,6 +508,92 @@ class TestEnumerate:
         cells = enumerate_cells(BB6, 0.3, -1.2, 2.3)
         joined = [c for c in cells if c.lo <= 0.0 <= c.hi]
         assert len(joined) == 2  # one cell ends at 0, the next starts there
+
+
+def assert_window_matches_the_walk(spec, s, x0, x1) -> int:
+    """``_window_cells`` gives the ends and levels of ``enumerate_cells`` bit
+    for bit, or both raise DomainError; returns the number of cells."""
+    try:
+        cells = enumerate_cells(spec, s, x0, x1)
+    except DomainError:
+        with pytest.raises(DomainError):
+            _window_cells(spec, s, x0, x1)
+        return 0
+    for name, got in zip(("lo", "hi", "level"), _window_cells(spec, s, x0, x1)):
+        want = np.array([getattr(c, name) for c in cells])
+        assert got.tobytes() == want.tobytes(), name
+    return len(cells)
+
+
+class TestWindowCells:
+    """The vector window against the scalar walk over ``cell_of``."""
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS.values(), ids=WINDOW_SPECS.keys())
+    @pytest.mark.parametrize(
+        "s, x0, x1",
+        [
+            (0.37, 0.0, 40.0),
+            (0.37, -13.3, 21.1),  # straddles 0
+            (0.21, -40.2, -3.3),  # all negative
+            (0.05, -1.0, 0.0),
+            (2.5e-3, 1e4, 1e4 + 3.0),
+            (3.0, -1e3, 1e3),
+            (5e-324, 0.0, 1.5e-323),  # a few subnormals wide
+            (1e-323, -2.5e-323, 2.5e-323),
+            (1.0, -5e-324, 1e-323),
+            (1e-300, -1e-322, -5e-324),
+        ],
+    )
+    def test_matches_the_walk(self, spec, s, x0, x1):
+        assert_window_matches_the_walk(spec, s, x0, x1)
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS.values(), ids=WINDOW_SPECS.keys())
+    def test_windows_on_cell_ends(self, spec):
+        # Ends of a positive cell and of a mirrored one (for BBMRQ), and the
+        # floats beside them, as either end of the window.
+        for x in (1.7, -1.7):
+            c = cell_of(spec, 0.3, x)
+            for e in (c.lo, c.hi):
+                for u in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)):
+                    assert_window_matches_the_walk(spec, 0.3, u, u + 2.0)
+                    assert_window_matches_the_walk(spec, 0.3, u - 2.0, u)
+
+    @pytest.mark.parametrize(
+        "spec, s, x0, x1, count",
+        [
+            (BB74, 4.4974499451464134e-08, 19775989.31097388, 19775989.31098045, 244),
+            (BB6, 5.47346795240761e-06, 15293029780.661003, 15293029780.662764, 535),
+        ],
+    )
+    def test_cells_the_grid_steps_over(self, spec, s, x0, x1, count):
+        # Cells a few ulps long, where the rounded grid skips some cells.
+        assert assert_window_matches_the_walk(spec, s, x0, x1) == count
+
+    @given(
+        name=st.sampled_from(sorted(WINDOW_SPECS)),
+        s=st.floats(min_value=1e-6, max_value=1e3),
+        x0=st.floats(min_value=-1e6, max_value=1e6),
+        steps=st.floats(min_value=1e-3, max_value=300.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_walk_everywhere(self, name, s, x0, steps):
+        x1 = x0 + steps * s
+        if x0 < x1:
+            assert_window_matches_the_walk(WINDOW_SPECS[name], s, x0, x1)
+
+    @pytest.mark.parametrize("spec", [UNIFORM, BMRQ, DBMRQ, BB6], ids=lambda s: s.scheme.value)
+    def test_smallest_step(self, spec):
+        # The cell budget once divided by the shortest cell, which underflows here.
+        cells = enumerate_cells(spec, 5e-324, 0.0, 5e-324)
+        assert [(c.lo, c.hi) for c in cells] == [(0.0, 5e-324)]
+        assert assert_window_matches_the_walk(spec, 5e-324, 0.0, 5e-324) == 1
+
+    def test_budget_counts_the_shortest_cell(self):
+        # Below alpha = 1/2 the shortest cell is alpha * s, not (1 - alpha) * s:
+        # this window has 1e7 / 0.3 > 2e7 of them.
+        for window in (enumerate_cells, _window_cells):
+            with pytest.raises(DomainError):
+                window(BB3, 1.0, 0.0, 1e7)
 
 
 class TestValidation:
