@@ -6,6 +6,9 @@ outgoing link forces a coarser step than anything applied so far.  For the
 requantizable families the whole chain collapses to a single quantization at
 the coarsest step; the plain uniform quantizer lacks that property, which is
 what the error comparison and the adversarial capacity experiment quantify.
+The error of a chain is averaged over a fixed midpoint grid on the domain,
+from the cells of the chain's first hop: every later hop sees only that
+hop's output, so the final output is constant on each of its cells.
 
 Every scheme turns a capacity into a step by one rule, the verified
 level-count search of :func:`capacity_to_step`; a closed form such as width/k
@@ -24,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cdf_analysis import count_levels
-from .quantizers import DomainError, QuantizerSpec, quantize, quantize_many
+from .quantizers import DomainError, QuantizerSpec, Scheme, _window_cells, quantize, quantize_many
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -185,23 +188,44 @@ def run_chain(cfg: RelayChainConfig, x: float) -> RelayTrace:
     )
 
 
+@lru_cache(maxsize=8)
+def _midpoint_grid(x0: float, x1: float, grid_size: int) -> np.ndarray:
+    """The read-only grid ``x0 + (i + 1/2) * (x1 - x0) / grid_size``."""
+    xs = x0 + (np.arange(grid_size) + 0.5) * ((x1 - x0) / grid_size)
+    xs.flags.writeable = False
+    return xs
+
+
 def average_chain_error(
     cfg: RelayChainConfig, p: float, grid_size: int = DEFAULT_GRID_SIZE
 ) -> float:
-    """Mean of |final output - x|^p over the domain, on a deterministic
-    midpoint-offset grid (no point ever sits on a cell boundary of any
-    reasonable step).  The library always uses the default grid; ``grid_size``
-    stays for callers that check against a smaller one."""
+    """Mean of |final output - x|^p over the points x of the midpoint grid
+    ``x0 + (i + 1/2) * width / grid_size`` on the domain.
+
+    The first hop's cells that hold grid points are listed once; each cell's
+    first point is found by a search on the grid, so a point on a cell end
+    takes the cell that owns it (the upper cell of a lattice or biased-tree
+    end, the lower one of a mirrored ``(lo, hi]`` BBMRQ end).  Later hops
+    requantize the cell levels only, and each point gets the final output
+    of its cell: bit for bit the hop-by-hop output of every point.  The
+    library always uses the default grid; ``grid_size`` stays for callers
+    that check against a smaller one.
+    """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
     if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 1:
         raise DomainError(f"grid_size must be a positive integer, got {grid_size!r}")
-    x0, x1 = cfg.domain
-    xs = x0 + (np.arange(grid_size) + 0.5) * ((x1 - x0) / grid_size)
-    ys = xs.copy()
-    for s in _applied_steps(_chain_steps(cfg)):
+    xs = _midpoint_grid(*cfg.domain, grid_size)
+    first, *later = _applied_steps(_chain_steps(cfg))
+    lo, _, levels = _window_cells(cfg.spec, first, xs[0], math.nextafter(xs[-1], math.inf))
+    starts = np.searchsorted(xs, lo)
+    if cfg.spec.scheme is Scheme.BBMRQ:  # a mirrored cell (lo, hi] does not own lo
+        mirrored = lo < 0.0
+        starts[mirrored] = np.searchsorted(xs, lo[mirrored], "right")
+    for s in later:
         if s is not None:
-            ys = quantize_many(cfg.spec, s, ys)
+            levels = quantize_many(cfg.spec, s, levels)
+    ys = np.repeat(levels, np.diff(starts, append=grid_size))
     return float(np.mean(np.abs(ys - xs) ** p))
 
 
@@ -229,12 +253,17 @@ def adversarial_ratio(
     base = average_chain_error(cfg, p)
     if base == 0.0:
         raise DomainError("baseline error is zero on the evaluation grid")
+    # Chains that apply the same steps have the same error: one evaluation each.
+    errors = {}
     worst_cfg = cfg
     worst_ratio = 1.0
     for dec in _decrement_vectors(cfg.capacities, budget):
         caps = tuple(k - d for k, d in zip(cfg.capacities, dec))
         cand = replace(cfg, capacities=caps)
-        ratio = average_chain_error(cand, p) / base
+        key = tuple(_applied_steps(_chain_steps(cand)))
+        if key not in errors:
+            errors[key] = average_chain_error(cand, p)
+        ratio = errors[key] / base
         if ratio > worst_ratio:
             worst_cfg = cand
             worst_ratio = ratio

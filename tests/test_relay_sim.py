@@ -6,8 +6,12 @@ resolution of the data scale, since the input's own rounding (float(2/7)
 is off by about 1.3e-17) already exceeds one ulp of the smallest target.
 """
 
+import importlib
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrquant.cdf_analysis import count_levels
-from mrquant.quantizers import DomainError, QuantizerSpec, Scheme, quantize
+from mrquant import relay_sim
+from mrquant.quantizers import DomainError, QuantizerSpec, Scheme, enumerate_cells, quantize, quantize_many
 from mrquant.relay_sim import (
     DEFAULT_GRID_SIZE,
     CapacityPolicy,
@@ -32,6 +37,43 @@ DBMRQ = QuantizerSpec(Scheme.DBMRQ)
 BB6 = QuantizerSpec(Scheme.BBMRQ, alpha=0.6)
 
 ULP_AT_DATA_SCALE = math.ulp(2.0 / 7.0)
+
+SWEEP_SPECS = [UNIFORM, BMRQ, DBMRQ] + [QuantizerSpec.bbmrq(a) for a in (0.51, 0.6, 0.74)]
+SWEEP_IDS = ["uniform", "bmrq", "dbmrq", "bbmrq-0.51", "bbmrq-0.6", "bbmrq-0.74"]
+
+
+def midpoint_grid(domain, grid_size):
+    x0, x1 = domain
+    return x0 + (np.arange(grid_size) + 0.5) * ((x1 - x0) / grid_size)
+
+
+def per_point_chain_error(cfg, p, grid_size=DEFAULT_GRID_SIZE):
+    """Reference: every grid point requantized hop by hop."""
+    xs = midpoint_grid(cfg.domain, grid_size)
+    ys = xs.copy()
+    coarsest = 0.0
+    for k in cfg.capacities:
+        s = capacity_to_step(cfg.spec, k, cfg.domain)
+        if s > coarsest:
+            ys = quantize_many(cfg.spec, s, ys)
+            coarsest = s
+    return float(np.mean(np.abs(ys - xs) ** p))
+
+
+def candidate_capacities(caps, budget):
+    """Every capacity vector the exhaustive adversary tries, in its order."""
+    for dec in itertools.product(*(range(min(budget, k - 2) + 1) for k in caps)):
+        if 0 < sum(dec) <= budget:
+            yield tuple(k - d for k, d in zip(caps, dec))
+
+
+def applied_steps(cfg, caps):
+    out, coarsest = [], 0.0
+    for k in caps:
+        s = capacity_to_step(cfg.spec, k, cfg.domain)
+        out.append(s if s > coarsest else None)
+        coarsest = max(coarsest, s)
+    return tuple(out)
 
 
 class TestConfig:
@@ -262,6 +304,86 @@ class TestAverageChainError:
         expected = (0.25**2 / 12.0) * (1.0 - 1.0 / n**2)
         assert average_chain_error(cfg, 2.0) == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_per_point_reference_on_seeded_sweep(self):
+        with pytest.warns(UserWarning):
+            specs = SWEEP_SPECS + [QuantizerSpec.bbmrq(0.3, nonstandard_alpha=True)]
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for i in range(70):
+            spec = specs[i % len(specs)]
+            scale = 10.0 ** rng.uniform(-8.0, 8.0)
+            width = scale * rng.uniform(0.8, 1.25)
+            x0 = [
+                scale * rng.uniform(0.0, 2.0),  # positive
+                -width * rng.uniform(0.05, 0.95),  # straddling 0
+                -width - scale * rng.uniform(0.0, 2.0),  # all negative
+            ][i % 3]
+            caps = tuple(int(k) for k in rng.integers(2, 40, int(rng.integers(1, 4))))
+            grid_size = int(2.0 ** rng.uniform(0.0, 17.0))
+            p = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+            cfg = RelayChainConfig(caps, spec, domain=(x0, x0 + width))
+            try:
+                expected = per_point_chain_error(cfg, p, grid_size)
+            except DomainError:  # a capacity too small for the domain
+                with pytest.raises(DomainError):
+                    average_chain_error(cfg, p, grid_size)
+                continue
+            assert average_chain_error(cfg, p, grid_size) == expected, (cfg, p, grid_size)
+            checked += 1
+        assert checked >= 60
+
+    def test_grid_point_on_a_lattice_cell_end(self):
+        # The grid points are exactly 0, 0.25, 0.5 and 0.75, and the step is
+        # 0.5, so 0 and 0.5 are cell ends.
+        cfg = RelayChainConfig((4,), BMRQ, domain=(-0.125, 0.875))
+        assert midpoint_grid(cfg.domain, 4).tolist() == [0.0, 0.25, 0.5, 0.75]
+        assert capacity_to_step(BMRQ, 4, cfg.domain) == 0.5
+        for p in (0.5, 1.0, 2.0):
+            assert average_chain_error(cfg, p, 4) == per_point_chain_error(cfg, p, 4)
+
+    def test_grid_point_on_a_mirrored_cell_end(self):
+        # -0.36 is the upper end of the mirrored cell (-0.6, -0.36], which
+        # owns it, and the lower end of (-0.36, 0]; the two cells differ in
+        # length, so the owner decides the point's error.
+        x0 = -0.36 - 2.5 * 0.125
+        domain = (x0, x0 + 1.0)
+        xs = midpoint_grid(domain, 8)
+        s = capacity_to_step(BB6, 5, domain)
+        mirrored_ends = {
+            end for c in enumerate_cells(BB6, s, *domain) if c.lo < 0.0 for end in (c.lo, c.hi)
+        }
+        assert -0.36 in xs.tolist() and -0.36 in mirrored_ends
+        for caps in [(5,), (5, 3)]:
+            cfg = RelayChainConfig(caps, BB6, domain=domain)
+            for p in (0.5, 1.0, 2.0, 3.0):
+                assert average_chain_error(cfg, p, 8) == per_point_chain_error(cfg, p, 8)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_repeated_grid_points_far_from_zero(self, spec):
+        # At 1e15 a float is 0.125 apart from the next, so the grid points,
+        # 64 / 2^15 apart, repeat.
+        cfg = RelayChainConfig((32, 16, 8), spec, domain=(1e15, 1e15 + 64.0))
+        xs = midpoint_grid(cfg.domain, 1 << 15)
+        assert np.unique(xs).size < xs.size
+        assert average_chain_error(cfg, 1.0, 1 << 15) == per_point_chain_error(cfg, 1.0, 1 << 15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(SWEEP_SPECS),
+        caps=st.lists(st.integers(2, 40), min_size=1, max_size=3),
+        x0=st.floats(-2.0, 2.0),
+        width=st.floats(0.5, 2.0),
+        grid_size=st.integers(1, 1 << 12),
+        p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    def test_matches_per_point_reference(self, spec, caps, x0, width, grid_size, p):
+        cfg = RelayChainConfig(tuple(caps), spec, domain=(x0, x0 + width))
+        try:
+            expected = per_point_chain_error(cfg, p, grid_size)
+        except DomainError:
+            return
+        assert average_chain_error(cfg, p, grid_size) == expected
+
     def test_validation(self):
         cfg = RelayChainConfig(capacities=(4,), spec=UNIFORM)
         with pytest.raises(DomainError):
@@ -337,3 +459,58 @@ class TestAdversarialRatio:
             adversarial_ratio(cfg, -1)
         with pytest.raises(DomainError):
             adversarial_ratio(cfg, 1.5)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RelayChainConfig((32, 16, 8), BMRQ),
+            RelayChainConfig((33, 21, 13), BB6, domain=(0.31, 1.29)),
+        ],
+        ids=["bmrq", "bbmrq"],
+    )
+    def test_one_evaluation_per_distinct_chain(self, monkeypatch, cfg):
+        evaluated = []
+
+        def counted(chain, p, *args):
+            evaluated.append(chain.capacities)
+            return average_chain_error(chain, p, *args)
+
+        monkeypatch.setattr(relay_sim, "average_chain_error", counted)
+        worst, ratio = adversarial_ratio(cfg, 2)
+        candidates = list(candidate_capacities(cfg.capacities, 2))
+        distinct = {applied_steps(cfg, caps) for caps in candidates}
+        assert len(distinct) < len(candidates)
+        assert len(evaluated) == 1 + len(distinct)
+
+        base = average_chain_error(cfg, 1.0)
+        expected_cfg, expected_ratio = cfg, 1.0
+        for caps in candidates:
+            cand = replace(cfg, capacities=caps)
+            r = average_chain_error(cand, 1.0) / base
+            if r > expected_ratio:
+                expected_cfg, expected_ratio = cand, r
+        assert (worst, ratio) == (expected_cfg, expected_ratio)
+
+    @pytest.mark.parametrize("spec", [BMRQ, DBMRQ, BB6], ids=["bmrq", "dbmrq", "bbmrq"])
+    def test_matches_the_benchmark_oracle(self, monkeypatch, spec):
+        # The relay benchmark's correctness gate: the chain collapses to one
+        # quantization at its coarsest step, whose grid error the oracle
+        # sums in closed form.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        oracles = importlib.import_module("oracles")
+        rng = np.random.default_rng(20261018)
+        for _ in range(3):
+            caps = (int(rng.integers(28, 37)), int(rng.integers(13, 20)), int(rng.integers(6, 11)))
+            x0 = float(rng.uniform(0.0, 1.0))
+            cfg = RelayChainConfig(caps, spec, domain=(x0, x0 + float(rng.uniform(0.8, 1.25))))
+            worst, ratio = adversarial_ratio(cfg, 2)
+
+            def error(caps):
+                s = max(capacity_to_step(spec, k, cfg.domain) for k in caps)
+                return oracles.collapsed_chain_error(spec, s, cfg.domain, DEFAULT_GRID_SIZE)
+
+            base = error(cfg.capacities)
+            best = max([1.0] + [error(c) / base for c in candidate_capacities(cfg.capacities, 2)])
+            assert math.isclose(ratio, best, rel_tol=1e-9)
+            reported = 1.0 if worst == cfg else error(worst.capacities) / base
+            assert math.isclose(ratio, reported, rel_tol=1e-9)
