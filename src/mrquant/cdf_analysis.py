@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .quantizers import (
     DomainError,
     QuantizerSpec,
     Scheme,
+    _checked_window,
+    _dyadic_level,
+    _lattice_index,
     _window_cells,
     enumerate_cells,  # noqa: F401 - not called here; perfbench's traced run wraps it
 )
@@ -355,12 +358,49 @@ def scale_shift_rate(rate_at_unit_step: float, s: float) -> float:
 def count_levels(spec: QuantizerSpec, s: float, x0: float, x1: float) -> int:
     """Number of distinct output levels on the window ``[x0, x1)``.
 
-    These are the cells :func:`~mrquant.quantizers.enumerate_cells` lists,
-    counted from the vector cell rule's arrays.  The test suite checks the
-    count against the level-count integral ``(x1 - x0) * integral of 1/size
-    dF`` evaluated in exact rational arithmetic.
+    These are the cells :func:`~mrquant.quantizers.enumerate_cells` lists.
+    The lattice schemes count them by index arithmetic (see
+    :func:`_lattice_count`); BBMRQ, and a lattice whose spacing is too fine
+    for every cell to hold a float, count the vector cell rule's listing.
+    The test suite checks the count against the level-count integral
+    ``(x1 - x0) * integral of 1/size dF`` evaluated in exact rational
+    arithmetic.
     """
+    s, x0, x1, _ = _checked_window(spec, s, x0, x1)
+    if spec.scheme is not Scheme.BBMRQ:
+        n = _lattice_count(spec, s, x0, x1)
+        if n is not None:
+            return n
     return _window_cells(spec, s, x0, x1)[0].size
+
+
+def _lattice_count(spec: QuantizerSpec, s: float, x0: float, x1: float) -> Optional[int]:
+    """Cells of a SIMPLE_UNIFORM, BMRQ or DBMRQ window from the lattice
+    indices of its first float and its last, or None where the listing must
+    count them: where the spacing (``s``, or ``2**m`` for the dyadic
+    schemes) is within 2 ulps of the window's largest magnitude, so that
+    cells can hold no float and the walk of
+    :func:`~mrquant.quantizers.enumerate_cells` skips them, or where a cell
+    within four spacings of the window may leave float64.
+
+    Elsewhere the computed cell ends rise strictly with the index, so the
+    walk meets every index from the first to the last.  A DBMRQ pair of
+    level-m cells that :func:`~mrquant.quantizers._dyadic_level` merges is
+    one cell, so each merged pair wholly inside that range counts once.  The
+    rule sees the pairs' exact starts, so no pair index underflows to -0.0.
+    """
+    m = math.frexp(s)[1] - 1
+    w = s if spec.scheme is Scheme.SIMPLE_UNIFORM else math.ldexp(1.0, m)
+    top = max(abs(x0), abs(x1))
+    if w <= 2.0 * math.ulp(top) or top + 4.0 * w >= 2.0 ** 1023:
+        return None
+    j0 = _lattice_index(w, x0)[0]
+    j1 = _lattice_index(w, math.nextafter(x1, -math.inf))[0]
+    if spec.scheme is not Scheme.DBMRQ:
+        return j1 - j0 + 1
+    pairs = np.arange((j0 + 1) // 2, (j1 + 1) // 2, dtype=np.float64)
+    levels = _dyadic_level(spec, np.full(pairs.size, s), np.ldexp(pairs, m + 1))
+    return j1 - j0 + 1 - int(np.count_nonzero(levels > m))
 
 
 def output_entropy(spec: QuantizerSpec, s: float, x0: float, x1: float) -> float:

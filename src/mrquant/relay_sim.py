@@ -10,13 +10,17 @@ The error of a chain is averaged over a fixed midpoint grid on the domain,
 from the cells of the chain's first hop: every later hop sees only that
 hop's output, so the final output is constant on each of its cells.
 
-Every scheme turns a capacity into a step by one rule, the verified
-level-count search of :func:`capacity_to_step`; a closed form such as width/k
-holds only on domains aligned with the lattice and overshoots k elsewhere.
+Every scheme turns a capacity into a step by one rule, the smallest step
+whose level count over the domain is at most the capacity, found by the
+verified search of :func:`capacity_to_step`: a bisection on the count for
+the lattice schemes, a refinement of the nested partition for BBMRQ.  A
+closed form such as width/k holds only on domains aligned with the lattice
+and overshoots k elsewhere.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -27,7 +31,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cdf_analysis import count_levels
-from .quantizers import DomainError, QuantizerSpec, Scheme, _window_cells, quantize, quantize_many
+from .quantizers import (
+    DomainError,
+    QuantizerSpec,
+    Scheme,
+    _checked_window,
+    _split,
+    _window_cells,
+    quantize,
+    quantize_many,
+)
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -100,16 +113,22 @@ def capacity_to_step(
 ) -> float:
     """Step bound for a link that can carry k distinct values.
 
-    60 bisection steps on (lo, width] locate a step whose level count over
-    the domain is at most k while the bracket just below needs more; the
-    count is verified before returning.  A full-width step needs the fewest
-    cells the scheme can manage; ``lo`` starts at width/(k+1) and is halved
-    until it needs more than k cells, since a cell may be longer than the
-    step (merged DBMRQ cells reach twice it).  For the nested schemes the
-    count only falls as the step grows, so this is the smallest such step.
-    The uniform count need not: on (0.35, 1.35) it rises from 9 to 10 as
-    the step passes about 0.11667, so there the result is a verified
-    threshold, not a proven smallest step.
+    For the lattice schemes, 60 bisection steps on (lo, width] locate a step
+    whose level count over the domain is at most k while the bracket just
+    below needs more; the count is verified before returning.  A full-width
+    step needs the fewest cells the scheme can manage; ``lo`` starts at
+    width/(k+1) and is halved until it needs more than k cells, since a cell
+    may be longer than the step (merged DBMRQ cells reach twice it).  For
+    the nested schemes the count only falls as the step grows, so this is
+    the smallest such step.  The uniform count need not: on (0.35, 1.35) it
+    rises from 9 to 10 as the step passes about 0.11667, so there the result
+    is a verified threshold, not a proven smallest step.
+
+    For BBMRQ the count can change only at a cell's float length, so the
+    search refines the partition at step width, longest cells first, to the
+    first length L whose cells would exceed k just below it, and returns L
+    once ``count_levels`` confirms at most k levels at L and more at the
+    float below.  It raises DomainError where the bisection does.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise DomainError(f"capacity must be an integer >= 2, got {k!r}")
@@ -121,13 +140,21 @@ def capacity_to_step(
 
 @lru_cache(maxsize=1024)
 def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
+    if spec.scheme is Scheme.BBMRQ:
+        return _refined_step(spec, k, x0, x1)
+    return _bisected_step(spec, k, x0, x1)
+
+
+def _uncoverable(spec: QuantizerSpec, k: int, x0: float, x1: float) -> DomainError:
+    return DomainError(f"capacity {k} cannot cover [{x0}, {x1}) with {spec.scheme.value}")
+
+
+def _bisected_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
     width = x1 - x0
     lo = width / (k + 1)
     hi = width
     if count_levels(spec, hi, x0, x1) > k:
-        raise DomainError(
-            f"capacity {k} cannot cover [{x0}, {x1}) with {spec.scheme.value}"
-        )
+        raise _uncoverable(spec, k, x0, x1)
     while count_levels(spec, lo, x0, x1) <= k:
         lo *= 0.5
     for _ in range(60):
@@ -141,6 +168,74 @@ def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
     if count_levels(spec, hi, x0, x1) > k:  # pragma: no cover - guarded above
         raise DomainError("level-count search failed to verify its result")
     return hi
+
+
+def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
+    """The BBMRQ search: refine the partition at step ``width``.
+
+    The cells at a step are the first nodes on each root path no longer than
+    it, so a step just below the longest cell length L splits every node of
+    length L, and nothing else.  Nodes are kept in a heap by float length,
+    in positive coordinates with the side of zero they lie on; a child the
+    walk of :func:`~mrquant.quantizers.enumerate_cells` would not list is
+    dropped.  The first L whose split partition has more than k cells is
+    the answer, and the count is verified on both sides of it.
+
+    Splitting goes on down to ``width / (k + 1)``, halved while the count
+    there is at most k, so that it computes every split the bisection's
+    probes compute and raises DomainError where they raise.
+    """
+    width = x1 - x0
+    lo, hi, _ = _window_cells(spec, width, x0, x1)
+    if lo.size > k:
+        raise _uncoverable(spec, k, x0, x1)
+    lowest = width / (k + 1)
+    _checked_window(spec, lowest, x0, x1)  # the cell budget, before any splitting
+    pows, alpha = spec._powers, spec.alpha
+    # Per side, in positive coordinates, a node [a, b) is listed iff a <= top
+    # and b > bottom: a cell [a, b) iff a < x1 and b > x0, a mirrored cell
+    # (-b, -a] iff -b < x1 and -a >= x0, unless it holds no float (b = 5e-324).
+    bottom_top = ((x0, math.nextafter(x1, -math.inf)), (max(-x1, 5e-324), -x0))
+    base = pows.largest_exponent_above(width) + 1  # the base leaf is [0, alpha**base)
+    heap = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        side = int(a < 0.0)
+        if side:
+            a, b = -b, -a
+        heap.append((a - b, a, b, side, base))
+    heapq.heapify(heap)
+    count = len(heap)
+    step = None
+    while True:
+        longest = heap[0][2] - heap[0][1]
+        if longest <= lowest:
+            if step is not None:
+                break
+            lowest *= 0.5
+            _checked_window(spec, lowest, x0, x1)
+            continue
+        todo = []
+        while heap and heap[0][0] <= -longest:
+            todo.append(heapq.heappop(heap))
+        while todo:
+            _, a, b, side, n = todo.pop()
+            split = _split(pows, alpha, a, b, n)
+            bottom, top = bottom_top[side]
+            count -= 1
+            for child in ((a - split, a, split, side, n + 1), (split - b, split, b, side, n)):
+                if child[1] <= top and child[2] > bottom:
+                    count += 1
+                    if -child[0] >= longest:
+                        todo.append(child)
+                    else:
+                        heapq.heappush(heap, child)
+        if step is None and count > k:
+            step = longest
+    if not count_levels(spec, step, x0, x1) <= k < count_levels(
+        spec, math.nextafter(step, -math.inf), x0, x1
+    ):  # pragma: no cover - the refinement counts the cells the listing counts
+        raise DomainError("level-count search failed to verify its result")
+    return step
 
 
 def _chain_steps(cfg: RelayChainConfig) -> List[float]:

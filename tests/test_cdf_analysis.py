@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from mrquant import DomainError, QuantizerSpec, cell_of, enumerate_cells
+from mrquant.quantizers import _lattice_index
 from mrquant.cdf_analysis import (
     BiasAlphaCdf,
     DbmrqAtomsCdf,
@@ -407,6 +408,83 @@ class TestLevelCounts:
             x1 = x0 + float(rng.uniform(0.5, 60.0))
             n = count_levels(spec, s, x0, x1)
             assert level_count_integral(spec, s, x0, x1) == Fraction(n)
+
+
+def count_or_error(count, spec, s, x0, x1):
+    try:
+        return count(spec, s, x0, x1)
+    except DomainError:
+        return DomainError
+
+
+def listed(spec, s, x0, x1):
+    return len(enumerate_cells(spec, s, x0, x1))
+
+
+LATTICE_SPECS = [QuantizerSpec.uniform(), QuantizerSpec.bmrq(), QuantizerSpec.dbmrq()]
+
+
+class TestLatticeCounts:
+    """The lattice schemes count their window's cells by index arithmetic;
+    the scalar walk of enumerate_cells is the oracle."""
+
+    def test_matches_the_walk_on_seeded_windows(self):
+        rng = np.random.default_rng(20261018)
+        counted = 0
+        for i in range(600):
+            spec = LATTICE_SPECS[i % 3]
+            scale = 10.0 ** rng.uniform(-310.0, 308.0) if i % 4 == 0 else 10.0 ** rng.uniform(-8.0, 17.0)
+            width = scale * rng.uniform(0.1, 2.0)
+            x0 = [
+                scale * rng.uniform(0.0, 3.0),
+                -width * rng.uniform(0.0, 1.0),
+                -width - scale * rng.uniform(0.0, 3.0),
+                -(10.0 ** rng.uniform(-323.0, 0.0)) * scale,
+            ][i % 4 if i % 4 else int(rng.integers(0, 4))]
+            x1 = x0 + width
+            s = width / 10.0 ** rng.uniform(-1.0, 3.0)
+            if not (x0 < x1 < math.inf and 0.0 < s < math.inf):
+                continue
+            expected = count_or_error(listed, spec, s, x0, x1)
+            assert count_or_error(count_levels, spec, s, x0, x1) == expected, (spec, s, x0, x1)
+            counted += expected is not DomainError
+        assert counted >= 500
+
+    def test_spacing_below_two_ulps_counts_the_cells_that_hold_floats(self):
+        # Cells 1.5e-16 long at 1 are shorter than the float spacing there, so
+        # some hold no float and the walk passes them by.
+        spec, s, x0, x1 = QuantizerSpec.uniform(), 1.5e-16, 1.0, 1.0 + 1e-14
+        by_index = _lattice_index(s, math.nextafter(x1, -math.inf))[0] - _lattice_index(s, x0)[0] + 1
+        assert by_index == 66
+        assert count_levels(spec, s, x0, x1) == listed(spec, s, x0, x1) == 45
+
+    def test_merged_pairs_at_two_to_the_53(self):
+        # The level-0 index of 2^53 is not exact, but every dbmrq pair there
+        # is merged, into cells 2 long whose index is.
+        x0, x1 = 2.0 ** 53, 2.0 ** 53 + 3000.0
+        with pytest.raises(DomainError):
+            _lattice_index(1.0, x0)
+        assert count_levels(QuantizerSpec.dbmrq(), 1.5, x0, x1) == 1500
+        with pytest.raises(DomainError):
+            count_levels(QuantizerSpec.bmrq(), 1.5, x0, x1)
+
+    def test_tiny_negative_start_takes_the_pair_below_zero(self):
+        # x0's pair index underflows to -0.0, the pair of 0, which the step
+        # merges; x0's own pair, -1, it does not.
+        spec, s = QuantizerSpec.dbmrq(), 1.1 * 2.0 ** 60
+        x0, x1 = -5e-324, 2.0 ** 64
+        first = enumerate_cells(spec, s, x0, x1)[0]
+        assert (first.lo, first.hi) == (-(2.0 ** 60), 0.0)
+        assert count_levels(spec, s, x0, x1) == listed(spec, s, x0, x1)
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS, ids=lambda s: s.scheme.value)
+    @pytest.mark.parametrize(
+        "s, x0, x1",
+        [(5e-324, 0.0, 5e-324), (5e-324, -1e-322, 1e-322), (1e308, -1.7e308, 1.7e308)],
+    )
+    def test_extreme_windows(self, spec, s, x0, x1):
+        expected = count_or_error(listed, spec, s, x0, x1)
+        assert count_or_error(count_levels, spec, s, x0, x1) == expected
 
 
 class TestLpError:

@@ -76,6 +76,44 @@ def applied_steps(cfg, caps):
     return tuple(out)
 
 
+def bisected_step(spec, k, x0, x1):
+    """The capacity search by bisection on the level count, which every
+    scheme once used: the oracle of the BBMRQ search, which must return its
+    step bit for bit or raise DomainError where it raises."""
+    width = x1 - x0
+    lo = width / (k + 1)
+    hi = width
+    if count_levels(spec, hi, x0, x1) > k:
+        raise DomainError(f"capacity {k} cannot cover [{x0}, {x1})")
+    while count_levels(spec, lo, x0, x1) <= k:
+        lo *= 0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if count_levels(spec, mid, x0, x1) <= k:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def search_outcome(search, spec, k, domain):
+    try:
+        return search(spec, k, *domain)
+    except DomainError:
+        return DomainError
+
+
+def fresh_capacity_to_step(spec, k, x0, x1):
+    relay_sim._searched_step.cache_clear()
+    return capacity_to_step(spec, k, (x0, x1))
+
+
+with pytest.warns(UserWarning):
+    ORACLE_SPECS = [QuantizerSpec.bbmrq(a, nonstandard_alpha=True) for a in (0.51, 0.6, 0.74, 0.3, 0.9)]
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -122,8 +160,8 @@ class TestCapacityToStep:
     def test_search_is_feasible_and_tight(self, scheme_spec, k):
         s = capacity_to_step(scheme_spec, k)
         assert count_levels(scheme_spec, s, 0.0, 1.0) <= k
-        # a slightly smaller step must already need more than k levels
-        assert count_levels(scheme_spec, s * (1.0 - 1e-9), 0.0, 1.0) > k
+        # the float below the step must already need more than k levels
+        assert count_levels(scheme_spec, math.nextafter(s, -math.inf), 0.0, 1.0) > k
 
     @pytest.mark.parametrize("k", [24, 33, 34])
     def test_search_is_tight_where_merged_cells_outgrow_the_step(self, k):
@@ -132,7 +170,7 @@ class TestCapacityToStep:
         domain = (0.31868288352858964, 1.3055845199791705)
         s = capacity_to_step(DBMRQ, k, domain)
         assert count_levels(DBMRQ, s, *domain) <= k
-        assert count_levels(DBMRQ, s * (1.0 - 1e-11), *domain) > k
+        assert count_levels(DBMRQ, math.nextafter(s, -math.inf), *domain) > k
 
     def test_search_policy_on_uniform_matches_closed_form(self):
         s = capacity_to_step(UNIFORM, 3)
@@ -186,8 +224,99 @@ class TestCapacityToStep:
 
     def test_capacity_too_small_for_window(self):
         # a window straddling three whole-at-any-step cells cannot fit in 2
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="cannot cover"):
             capacity_to_step(BB6, 2, (0.99, 3.01))
+        for spec in ORACLE_SPECS:
+            outcome = search_outcome(bisected_step, spec, 2, (0.99, 3.01))
+            assert search_outcome(fresh_capacity_to_step, spec, 2, (0.99, 3.01)) == outcome
+
+    def test_bbmrq_search_matches_the_bisection_on_a_seeded_sweep(self):
+        rng = np.random.default_rng(20261018)
+        stepped = 0
+        for i in range(150):
+            spec = ORACLE_SPECS[i % len(ORACLE_SPECS)]
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            width = scale * rng.uniform(0.8, 1.25)
+            x0 = [
+                scale * rng.uniform(0.0, 2.0),  # positive
+                -width * rng.uniform(0.05, 0.95),  # straddling 0
+                -width - scale * rng.uniform(0.0, 2.0),  # all negative
+            ][i % 3]
+            k = int(rng.integers(2, 65))
+            domain = (x0, x0 + width)
+            expected = search_outcome(bisected_step, spec, k, domain)
+            assert search_outcome(fresh_capacity_to_step, spec, k, domain) == expected, (spec, k, domain)
+            stepped += expected is not DomainError
+        assert stepped >= 140
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(ORACLE_SPECS),
+        k=st.integers(2, 64),
+        x0=st.floats(-2.0, 2.0),
+        width=st.floats(0.8, 1.25),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    )
+    def test_bbmrq_search_matches_the_bisection(self, spec, k, x0, width, scale):
+        domain = (x0 * scale, (x0 + width) * scale)
+        expected = search_outcome(bisected_step, spec, k, domain)
+        assert search_outcome(fresh_capacity_to_step, spec, k, domain) == expected
+
+    @pytest.mark.parametrize(
+        "alpha, k, domain, expected",
+        [
+            # The mirrored cell (-(1e15 + 1.75), -(1e15 + 0.875)] holds x1, not a
+            # float of the window, but the walk lists it: it starts below x1.
+            (0.6, 12, (-1000000000000005.6, -1000000000000001.6), 0.625),
+            # The bisection probes width/(k+1), which splits nodes of 2 to 4
+            # ulps that alpha = 0.9 cannot resolve, though the smallest step
+            # with at most k levels lies above them (1.0 for the first).
+            (0.9, 7, (1000000000000002.1, 1000000000000006.1), DomainError),
+            (0.9, 44, (-1000000000000028.9, -1000000000000008.0), DomainError),
+        ],
+    )
+    def test_bbmrq_search_far_from_zero(self, alpha, k, domain, expected):
+        spec = ORACLE_SPECS[(0.51, 0.6, 0.74, 0.3, 0.9).index(alpha)]
+        assert search_outcome(bisected_step, spec, k, domain) == expected
+        assert search_outcome(fresh_capacity_to_step, spec, k, domain) == expected
+
+    def test_bbmrq_search_raises_where_the_bisection_raises_at_1e15(self):
+        # At 1e15 a float is 0.125 from the next, so most of these domains
+        # hold too few floats, or too few resolvable splits, for k levels.
+        rng = np.random.default_rng(1015)
+        raised = 0
+        for i in range(40):
+            spec = ORACLE_SPECS[i % len(ORACLE_SPECS)]
+            width = 10.0 ** rng.uniform(-1.0, 1.5)
+            x0 = 1e15 + width * rng.uniform(0.0, 2.0)
+            domain = (x0, x0 + width) if i % 2 else (-x0 - width, -x0)
+            k = int(rng.integers(2, 65))
+            expected = search_outcome(bisected_step, spec, k, domain)
+            assert search_outcome(fresh_capacity_to_step, spec, k, domain) == expected, (spec, k, domain)
+            raised += expected is DomainError
+        assert 10 <= raised < 40
+
+    def test_bbmrq_capacity_above_the_cell_budget_raises_before_splitting(self, monkeypatch):
+        with pytest.raises(DomainError, match="exceed"):
+            bisected_step(BB6, 10**8, 0.0, 1.0)
+
+        def split(*args):
+            raise AssertionError("split a node")
+
+        monkeypatch.setattr(relay_sim, "_split", split)
+        with pytest.raises(DomainError, match="exceed"):
+            fresh_capacity_to_step(BB6, 10**8, 0.0, 1.0)
+
+    def test_bbmrq_search_verifies_with_two_counts(self, monkeypatch):
+        counted = []
+
+        def counting(*args):
+            counted.append(args[1])
+            return count_levels(*args)
+
+        monkeypatch.setattr(relay_sim, "count_levels", counting)
+        s = fresh_capacity_to_step(BB6, 33, 0.31, 1.29)
+        assert counted == [s, math.nextafter(s, -math.inf)]
 
     def test_validation(self):
         with pytest.raises(DomainError):
