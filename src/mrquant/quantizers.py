@@ -73,7 +73,11 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 # only binds for alpha outside roughly (0.0025, 0.9975).
 _POW_TABLE_CAP = 300_000
 
-# Refuse enumerations that would materialize an absurd number of cells.
+# Refuse listings that would materialize an absurd number of cells: the
+# scalar walk of enumerate_cells, the vector listing of _window_cells, and
+# the cells and nodes the window kernel of cdf_analysis must handle one by
+# one.  The kernel counts whole subtrees by size class, so this does not
+# bound the windows it can count.
 _MAX_CELLS = 20_000_000
 
 
@@ -609,14 +613,13 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
 # Windows
 
 
-def _checked_window(
+def _window_args(
     spec: QuantizerSpec, s: float, x0: float, x1: float
-) -> Tuple[float, float, float, int]:
-    """The checked floats ``(s, x0, x1)`` and the window's grid size: one
-    point per shortest cell the scheme can have, ``min(alpha, 1 - alpha) * s``
-    for BBMRQ and ``s / 2`` otherwise, plus one.  It comes from ``(x1 - x0) /
-    s``, so no underflowed cell length divides it, and as it bounds the cells
-    too, it may not exceed :data:`_MAX_CELLS`.
+) -> Tuple[float, float, float, float]:
+    """The checked floats ``(s, x0, x1)`` and the window's length in the
+    shortest cells the scheme can have, ``min(alpha, 1 - alpha) * s`` for
+    BBMRQ and ``s / 2`` otherwise.  It comes from ``(x1 - x0) / s``, so no
+    underflowed cell length divides it; it bounds the window's cell count.
     """
     _require_step(s)
     _require_input(x0)
@@ -625,7 +628,17 @@ def _checked_window(
         raise DomainError(f"need x0 < x1, got [{x0!r}, {x1!r})")
     s, x0, x1 = float(s), float(x0), float(x1)
     shortest = min(spec.alpha, 1.0 - spec.alpha) if spec.scheme is Scheme.BBMRQ else 0.5
-    points = (x1 - x0) / s / shortest
+    return s, x0, x1, (x1 - x0) / s / shortest
+
+
+def _checked_window(
+    spec: QuantizerSpec, s: float, x0: float, x1: float
+) -> Tuple[float, float, float, int]:
+    """:func:`_window_args` for a listing: the checked floats and the
+    window's grid size, one point per shortest cell plus one, which as it
+    bounds the cells too may not exceed :data:`_MAX_CELLS`.
+    """
+    s, x0, x1, points = _window_args(spec, s, x0, x1)
     if not points <= _MAX_CELLS:
         raise DomainError(
             f"enumerating [{x0}, {x1}) at step {s} would exceed {_MAX_CELLS} cells"

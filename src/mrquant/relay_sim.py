@@ -113,22 +113,24 @@ def capacity_to_step(
 ) -> float:
     """Step bound for a link that can carry k distinct values.
 
-    For the lattice schemes, 60 bisection steps on (lo, width] locate a step
-    whose level count over the domain is at most k while the bracket just
-    below needs more; the count is verified before returning.  A full-width
-    step needs the fewest cells the scheme can manage; ``lo`` starts at
-    width/(k+1) and is halved until it needs more than k cells, since a cell
-    may be longer than the step (merged DBMRQ cells reach twice it).  For
-    the nested schemes the count only falls as the step grows, so this is
-    the smallest such step.  The uniform count need not: on (0.35, 1.35) it
-    rises from 9 to 10 as the step passes about 0.11667, so there the result
-    is a verified threshold, not a proven smallest step.
+    For the lattice schemes, a bisection on (lo, width] down to adjacent
+    floats locates a step whose level count over the domain is at most k
+    while the float just below needs more; the count is verified before
+    returning.  A full-width step needs the fewest cells the scheme can
+    manage; ``lo`` starts at width/(k+1) and is halved until it needs more
+    than k cells, since a cell may be longer than the step (merged DBMRQ
+    cells reach twice it).  For the nested schemes the count only falls as
+    the step grows, so this is the smallest such step.  The uniform count
+    need not: on (0.35, 1.35) it rises from 9 to 10 as the step passes about
+    0.11667, so there the result is a verified threshold, not a proven
+    smallest step.
 
     For BBMRQ the count can change only at a cell's float length, so the
     search refines the partition at step width, longest cells first, to the
     first length L whose cells would exceed k just below it, and returns L
     once ``count_levels`` confirms at most k levels at L and more at the
-    float below.  It raises DomainError where the bisection does.
+    float below.  It raises DomainError where the bisection does, and where
+    the partition at width/(k+1) would exceed the cell budget.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise DomainError(f"capacity must be an integer >= 2, got {k!r}")
@@ -157,7 +159,7 @@ def _bisected_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
         raise _uncoverable(spec, k, x0, x1)
     while count_levels(spec, lo, x0, x1) <= k:
         lo *= 0.5
-    for _ in range(60):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -183,7 +185,8 @@ def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
 
     Splitting goes on down to ``width / (k + 1)``, halved while the count
     there is at most k, so that it computes every split the bisection's
-    probes compute and raises DomainError where they raise.
+    probes compute and raises DomainError where they raise.  It checks the
+    cell budget at that step before any split.
     """
     width = x1 - x0
     lo, hi, _ = _window_cells(spec, width, x0, x1)

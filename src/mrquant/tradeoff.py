@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cdf_analysis import (
     LOG2E,
@@ -207,6 +206,8 @@ class SizeDensity:
         b = min(hi, self.support[1])
         if a >= b:
             return 0.0
+        from scipy.integrate import quad  # scipy loads slowly; only quadrature needs it
+
         total = 0.0
         cuts = [a] + [c for c in self._segments(extra) if a < c < b] + [b]
         for left, right in zip(cuts, cuts[1:]):
@@ -278,6 +279,8 @@ def refinement_inequality_value(
     cuts.update(k for k in den.kinks if a < k < b)
     cuts.update(k / zeta for k in den.kinks if a < k / zeta < b)
     grid = sorted(c for c in cuts if a <= c <= b)
+    from scipy.integrate import quad  # scipy loads slowly; only quadrature needs it
+
     total = 0.0
     for left, right in zip(grid, grid[1:]):
         val, _ = quad(integrand, left, right, epsabs=1e-11, epsrel=1e-11, limit=200)

@@ -7,6 +7,7 @@ rational arithmetic.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from mrquant import DomainError, QuantizerSpec, cell_of, enumerate_cells
-from mrquant.quantizers import _lattice_index
+from mrquant import DomainError, QuantizerSpec, cdf_analysis, cell_of, enumerate_cells, quantizers
+from mrquant.quantizers import _lattice_index, _window_cells
 from mrquant.cdf_analysis import (
     BiasAlphaCdf,
     DbmrqAtomsCdf,
@@ -46,6 +47,34 @@ def level_count_integral(spec, s, x0, x1) -> Fraction:
         gf = Fraction(g)
         total += width * (1 / gf) * (gf / width)
     return total
+
+
+def gridded_levy(F, G, tol=1e-4):
+    """levy_distance as it was before step cdfs skipped the grid: kinks,
+    kinks shifted by +-eps, their left neighbours and 20 001 grid points."""
+    kf, kg = F.kinks(), G.kinks()
+    lo_x, hi_x = min(kf[0], kg[0]), max(kf[-1], kg[-1])
+    pad = 0.0625 * (hi_x - lo_x) + 2.0 * tol
+    grid = np.linspace(lo_x - pad, hi_x + pad, 20_001)
+
+    def feasible(eps):
+        xs = np.concatenate((grid, kf, kg, kf - eps, kf + eps, kg - eps, kg + eps))
+        xs = np.concatenate((xs, np.nextafter(xs, -np.inf)))
+        gv = G.cdf(xs)
+        if (gv - F.cdf(xs + eps) - eps > 1e-12).any():
+            return False
+        return not (F.cdf(xs - eps) - eps - gv > 1e-12).any()
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 0.5 * tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def brute_levy(F, G, xs, eps_step=1e-4):
@@ -293,6 +322,26 @@ class TestLevyDistance:
         with pytest.raises(DomainError):
             levy_distance(BiasAlphaCdf(0.6), object())
 
+    def test_step_cdfs_match_the_gridded_check(self):
+        # Between two step cdfs the kinks are exhaustive, so the grid adds
+        # nothing: the same bisection, bit for bit.
+        rng = np.random.default_rng(2026)
+
+        def rand_step():
+            bp = np.unique(rng.uniform(0.2, 1.5, rng.integers(1, 40)))
+            if rng.random() < 0.3:  # shared atoms, one-ulp neighbours
+                bp = np.unique(np.concatenate((bp, np.nextafter(bp[:2], np.inf))))
+            m = rng.random(bp.size)
+            m /= m.sum()
+            m[-1] += 1.0 - math.fsum(m.tolist())
+            return StepCdf(bp, m)
+
+        for _ in range(25):
+            A, B = rand_step(), rand_step()
+            tol = float(10.0 ** rng.uniform(-9, -2))
+            assert levy_distance(A, B, tol) == gridded_levy(A, B, tol)
+            assert levy_distance(A, A.scaled(1.0 + 1e-9), tol) == gridded_levy(A, A.scaled(1.0 + 1e-9), tol)
+
     def test_dense_step_cdfs_are_checked_exactly(self):
         # Half the mass sits on one atom of a 30 001-atom grid; moving that
         # atom right by 0.01 must show, however many atoms surround it.
@@ -422,6 +471,7 @@ def listed(spec, s, x0, x1):
 
 
 LATTICE_SPECS = [QuantizerSpec.uniform(), QuantizerSpec.bmrq(), QuantizerSpec.dbmrq()]
+BB6 = QuantizerSpec.bbmrq(0.6)
 
 
 class TestLatticeCounts:
@@ -485,6 +535,205 @@ class TestLatticeCounts:
     def test_extreme_windows(self, spec, s, x0, x1):
         expected = count_or_error(listed, spec, s, x0, x1)
         assert count_or_error(count_levels, spec, s, x0, x1) == expected
+
+
+def listed_functionals(spec, s, x0, x1, ps):
+    """The window functionals cell by cell over the walk: (count, cdf or
+    None where the listed pieces miss some of the window, entropy, L^p)."""
+    cells = enumerate_cells(spec, s, x0, x1)
+    lo, hi, level = (np.array([getattr(c, f) for c in cells]) for f in ("lo", "hi", "level"))
+    top, bottom = np.minimum(hi, x1), np.maximum(lo, x0)
+    keep = top - bottom > 0.0
+    clipped, a, b = (top - bottom)[keep], bottom[keep] - level[keep], top[keep] - level[keep]
+    sizes, counts = np.unique(clipped, return_counts=True)
+    masses = sizes * counts / (x1 - x0)
+    cdf = StepCdf(sizes, masses) if abs(math.fsum(masses.tolist()) - 1.0) <= 1e-12 else None
+    w = clipped / (x1 - x0)
+
+    def lp(p):
+        anti = lambda u: np.copysign(np.abs(u) ** (p + 1.0), u) / (p + 1.0)  # noqa: E731
+        return float(np.sum(anti(b) - anti(a)) / (x1 - x0))
+
+    return len(cells), cdf, float(-(w @ np.log2(w))), [lp(p) for p in ps]
+
+
+def class_margin(spec, s, x0, x1):
+    """The stated margin M / s of the size classes: the class tables' for
+    BBMRQ at the deepest table the window allows, 2 ulps of the window's
+    largest magnitude for the lattices."""
+    top = max(abs(x0), abs(x1))
+    if spec.alpha is None:
+        return 2.0 * math.ulp(top) / s
+    a, b = spec.alpha, 1.0 - spec.alpha
+    depth = math.log(max((x1 - x0) / s, 1.0)) * (1.0 / -math.log(a) + 1.0 / -math.log(b)) + 2.0
+    return (2.0 ** -52 * (top + 2.0 * (depth + 4.0) * s) + (depth + 4.0) * 2.0 ** -1074) / min(a, b) / s
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    KERNEL_SPECS = LATTICE_SPECS + [QuantizerSpec.bbmrq(a) for a in (0.51, 0.6, 0.74)] + [
+        QuantizerSpec.bbmrq(a, nonstandard_alpha=True) for a in (0.3, 0.9)
+    ]
+
+
+def seeded_window(rng, kind):
+    """(s, x0, x1): a window of 1 to 300 steps that straddles 0, is negative,
+    is offset by 1e6 to 1e15 steps, is subnormal, or is positive."""
+    s = float(10.0 ** rng.uniform(-3.0, 3.0))
+    width = s * float(10.0 ** rng.uniform(0.0, 2.5))
+    if kind == 0:
+        x0 = -width * rng.uniform(0.0, 1.0)
+    elif kind == 1:
+        x0 = -width * rng.uniform(1.0, 4.0)
+    elif kind == 2:
+        x0 = s * 10.0 ** rng.uniform(6.0, 15.0) * rng.choice([-1.0, 1.0])
+    elif kind == 3:
+        s = 5e-324 * int(rng.integers(1, 40))
+        width = s * rng.uniform(1.0, 300.0)
+        x0 = -width * rng.uniform(0.0, 1.2)
+    else:
+        x0 = width * rng.uniform(0.0, 3.0)
+    return s, float(x0), float(x0 + width)
+
+
+class TestWindowKernel:
+    """The four functionals count whole cells by size class; the scalar walk
+    of enumerate_cells, cell by cell, is the oracle."""
+
+    def test_matches_the_walk_on_seeded_windows(self):
+        rng = np.random.default_rng(20261018)
+        ps = (0.5, 1.0, 2.0)
+        windows = compared = raised = 0
+        for i in range(1500):
+            spec = KERNEL_SPECS[i % len(KERNEL_SPECS)]
+            s, x0, x1 = seeded_window(rng, (i // len(KERNEL_SPECS)) % 5)
+            steps = [s]
+            if spec.alpha is not None and i % 3 == 0:
+                # a cell's float length at a coarser step, and the float below it
+                lo, hi, _ = _window_cells(spec, s * rng.uniform(1.2, 4.0), x0, x1)
+                k = int(rng.integers(0, lo.size))
+                steps += [hi[k] - lo[k], math.nextafter(hi[k] - lo[k], -math.inf)]
+            for s in steps:
+                windows += 1
+                try:
+                    n, cdf, entropy, lps = listed_functionals(spec, s, x0, x1, ps)
+                except DomainError:
+                    n = DomainError
+                assert count_or_error(count_levels, spec, s, x0, x1) == n, (spec, s, x0, x1)
+                if n is DomainError:
+                    raised += 1
+                    continue
+                bound = 1e-12 + class_margin(spec, s, x0, x1)
+                F = empirical_cell_cdf(spec, s, x0, x1)
+                assert abs(math.fsum(F.masses.tolist()) - 1.0) <= 1e-12
+                if cdf is None:  # the listing misses the float-less mirrored leaf
+                    continue
+                compared += 1
+                scale = math.ldexp(1.0, min(1023, 1 - math.frexp(s)[1]))
+                assert levy_distance(F.scaled(scale), cdf.scaled(scale), 1e-12) <= bound, (spec, s, x0, x1)
+                got = output_entropy(spec, s, x0, x1)
+                assert abs(got - entropy) <= bound * (entropy + 2.0), (spec, s, x0, x1)
+                for p, want in zip(ps, lps):
+                    got = lp_error_exact(spec, s, x0, x1, p)
+                    assert abs(got - want) <= (p + 1.0) * bound * abs(want), (spec, s, x0, x1, p)
+        assert windows >= 2000 and compared >= 1800 and raised >= 1
+
+    def test_float_less_mirrored_leaf_keeps_its_length(self):
+        # (-5e-324, 0) mirrors the leaf [0, 5e-324) and holds no float: it is
+        # no level, but its length belongs to the window.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = QuantizerSpec.bbmrq(0.3, nonstandard_alpha=True)
+        args = (spec, 1e-323, -1e-323, 1e-323)
+        F = empirical_cell_cdf(*args)
+        assert (F.breakpoints.tolist(), F.masses.tolist()) == ([5e-324], [1.0])
+        # four pieces of 5e-324: (-1e-323, -5e-324], (-5e-324, 0), [0, 5e-324), [5e-324, 1e-323)
+        assert output_entropy(*args) == 2.0
+        assert lp_error_exact(*args, 1.0) == pytest.approx(5e-324 / 4, rel=1e-12)
+        assert count_levels(*args) == listed(*args) == 4
+        assert listed_functionals(*args, ())[1] is None  # the walk's pieces fall short
+
+    def test_uniform_cells_enter_at_their_mean_length(self):
+        # Far from zero the float lengths of uniform cells miss s by ulps of
+        # the window (here 0.1%); their one class sits at their mean length,
+        # so the classes still add up to the window.
+        spec, s, x0, x1 = QuantizerSpec.uniform(), 0.0030854300445975757, 153588420012.7003, 153588420012.7147
+        cells = enumerate_cells(spec, s, x0, x1)
+        whole = [c for c in cells if x0 <= c.lo and c.hi <= x1]
+        mean = (whole[-1].hi - whole[0].lo) / len(whole)
+        assert len(whole) == 4 and mean != s
+        F = empirical_cell_cdf(spec, s, x0, x1)
+        assert mean in F.breakpoints.tolist()
+        assert count_levels(spec, s, x0, x1) == len(cells) == 6
+
+    def test_undecided_classes_are_walked(self):
+        # s is a node's float length, so its class is undecided in every
+        # table and its nodes are walked one by one.
+        spec, s, x0, x1 = BB6, 13.491455078125, 1599964920302.1597, 1599964933406.2957
+        assert count_levels(spec, s, x0, x1) == listed(spec, s, x0, x1) == 1303
+        F = empirical_cell_cdf(spec, s, x0, x1)
+        assert abs(math.fsum(F.masses.tolist()) - 1.0) <= 1e-12
+
+    def test_undecided_classes_beyond_the_budget_raise_before_walking(self, monkeypatch):
+        L = cell_of(BB6, 1.0, 5e11).size
+        walked = []
+        monkeypatch.setattr(cdf_analysis, "_walk_to_classes", lambda *a: walked.append(a))
+        for s in (L, math.nextafter(L, -math.inf)):
+            with pytest.raises(DomainError, match="walk more than"):
+                count_levels(BB6, s, 0.0, 1e12)
+        assert walked == []
+
+    @pytest.mark.parametrize("x0", [0.0, 3.3e11, -4.4e11])
+    def test_large_windows_split_only_the_boundary_paths(self, x0, monkeypatch):
+        calls = []
+
+        def split(*args):
+            calls.append(args)
+            return quantizers._split(*args)
+
+        monkeypatch.setattr(cdf_analysis, "_split", split)
+        n = count_levels(BB6, 1.0, x0, x0 + 1e12)
+        assert 1.48e12 < n < 1.49e12 and len(calls) < 300
+
+    def test_counts_add_up_at_inner_points(self):
+        # count[x0, x2) = count[x0, x1) + count[x1, x2) - [the cell of x1
+        # starts below x1]: checked against the walk, then alone at 1e8 and
+        # 1e12 steps.
+        def split_rule(spec, s, x0, x1, x2, count):
+            below = cell_of(spec, s, x1).lo < x1
+            return count(spec, s, x0, x2) == count(spec, s, x0, x1) + count(spec, s, x1, x2) - below
+
+        rng = np.random.default_rng(7)
+        for i in range(300):
+            spec = KERNEL_SPECS[i % len(KERNEL_SPECS)]
+            s, x0, x2 = seeded_window(rng, i % 5)
+            x1 = float(x0 + (x2 - x0) * rng.uniform(0.01, 0.99))
+            if i % 4 == 0:  # a cell end, of either orientation
+                cell = cell_of(spec, s, x1)
+                x1 = cell.lo if x0 < cell.lo else cell.hi
+            if not x0 < x1 < x2:
+                continue
+            assert split_rule(spec, s, x0, x1, x2, listed), (spec, s, x0, x1, x2)
+            assert split_rule(spec, s, x0, x1, x2, count_levels), (spec, s, x0, x1, x2)
+        # At 1e12 steps a cell's float length is known to about 1e-4 of s,
+        # so a populous class that near s can only be walked, and beyond the
+        # budget the count raises instead.
+        counted = 0
+        for i in range(60):
+            spec = KERNEL_SPECS[i % 6]
+            steps = 1e8 if i % 2 else 1e12
+            if spec.scheme.value == "dbmrq":  # merged pairs are tested one by one
+                steps = 1e6
+            s = float(10.0 ** rng.uniform(-2.0, 2.0))
+            x0 = float(-steps * s * rng.uniform(0.0, 1.0))
+            x2 = x0 + steps * s
+            x1 = float(x0 + (x2 - x0) * rng.uniform(0.01, 0.99))
+            try:
+                assert split_rule(spec, s, x0, x1, x2, count_levels), (spec, s, x0, x1, x2)
+                counted += 1
+            except DomainError:
+                assert steps == 1e12
+        assert counted >= 54
 
 
 class TestLpError:

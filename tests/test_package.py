@@ -3,6 +3,8 @@ and the benchmark finds the names it wraps."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,12 @@ def test_perfbench_wraps_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"mrquant.{module}"), attr)
     ]
     assert wraps and missing == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs most of the import time and only quadrature needs it.
+    src = str(Path(mrquant.__file__).resolve().parents[1])
+    code = "import sys; import mrquant; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

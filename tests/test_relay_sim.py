@@ -297,8 +297,9 @@ class TestCapacityToStep:
         assert 10 <= raised < 40
 
     def test_bbmrq_capacity_above_the_cell_budget_raises_before_splitting(self, monkeypatch):
-        with pytest.raises(DomainError, match="exceed"):
-            bisected_step(BB6, 10**8, 0.0, 1.0)
+        # count_levels counts such a window by size class, but the search
+        # would split its cells one by one.
+        assert count_levels(BB6, 1.0 / (10**8 + 1), 0.0, 1.0) > 10**8
 
         def split(*args):
             raise AssertionError("split a node")
@@ -306,6 +307,16 @@ class TestCapacityToStep:
         monkeypatch.setattr(relay_sim, "_split", split)
         with pytest.raises(DomainError, match="exceed"):
             fresh_capacity_to_step(BB6, 10**8, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, k, step",
+        [(UNIFORM, 1000, 0.000980243161094225), (DBMRQ, 5000, 0.00019605313002937666), (BMRQ, 5000, 2.0**-12)],
+        ids=["uniform", "dbmrq", "bmrq"],
+    )
+    def test_lattice_search_bisects_down_to_adjacent_floats(self, spec, k, step):
+        # These need 62 to 65 halvings; a fixed 60 stopped a few ulps above.
+        assert fresh_capacity_to_step(spec, k, 0.31, 1.29) == step
+        assert count_levels(spec, step, 0.31, 1.29) <= k < count_levels(spec, math.nextafter(step, -math.inf), 0.31, 1.29)
 
     def test_bbmrq_search_verifies_with_two_counts(self, monkeypatch):
         counted = []
