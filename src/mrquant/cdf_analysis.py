@@ -741,29 +741,38 @@ def output_entropy(spec: QuantizerSpec, s: float, x0: float, x1: float) -> float
     """
     width, sizes, counts, clipped, _, _ = _pieces(spec, s, x0, x1)
     w, c = sizes / width, clipped / width
+    c = c[c > 0.0]  # a cut piece whose share underflows adds 0 log 0 = 0
     return float(-((counts * w) @ np.log2(w)) - c @ np.log2(c))
 
 
 def lp_error_exact(spec: QuantizerSpec, s: float, x0: float, x1: float, p: float) -> float:
     """Exact E|X - Q(X)|^p for X uniform on [x0, x1], by per-class integrals.
 
-    A whole cell of size g contributes ``2 (g/2)^(p+1) / (p+1)``, summed
-    over its size class (see :func:`empirical_cell_cdf`), so the relative
-    error is within about ``(p + 1) M / s`` of the cell-by-cell sum; cells
-    cut by the window's ends use the antiderivative of ``|x - level|^p``
-    over their clipped range, so the value is exact up to that and float
-    rounding even when the window cuts cells.
+    A whole cell of size g contributes its share of the window times
+    ``(g/2)^p / (p+1)``, summed over its size class (see
+    :func:`empirical_cell_cdf`), so the relative error is within about
+    ``(p + 1) M / s`` of the cell-by-cell sum.  A cell cut by the window's
+    ends contributes its share times the mean of ``|x - level|^p`` over its
+    clipped range: ``m^p``, ``m`` its largest offset from the level, times
+    ``(1 - (1 - r)^(p+1)) / (r (p + 1))`` on one side of the level, ``r m``
+    the clipped length, which rounded offsets may lose (a unit window 1e276
+    from its level).  A value beyond float64 raises DomainError.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
     p = float(p)
-    width, sizes, counts, _, a, b = _pieces(spec, s, x0, x1)
-
-    def anti(u: np.ndarray) -> np.ndarray:
-        return np.copysign(np.abs(u) ** (p + 1.0), u) / (p + 1.0)
-
-    whole = counts @ (2.0 * anti(0.5 * sizes))
-    return float((whole + np.sum(anti(b) - anti(a))) / width)
+    width, sizes, counts, clipped, a, b = _pieces(spec, s, x0, x1)
+    m = np.maximum(np.abs(a), np.abs(b))
+    r = np.clip(clipped / m, 1e-300, 1.0)  # below 1e-300 the ratio below is p + 1 in float64
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        one_side = -np.expm1((p + 1.0) * np.log1p(-r)) / r
+        both_sides = ((np.abs(a) / m) ** (p + 1.0) + (np.abs(b) / m) ** (p + 1.0)) * (m / clipped)
+        cut = m ** p * np.where((a < 0.0) & (b > 0.0), both_sides, one_side)
+        whole = (counts * sizes / width) @ (sizes ** p * 0.5 ** p)  # 0.5 * 5e-324 is 0
+        value = float((whole + (clipped / width) @ cut) / (p + 1.0))
+    if not math.isfinite(value):
+        raise DomainError(f"E|X - Q(X)|^{p} on [{x0}, {x1}) at step {s} overflows float64")
+    return value
 
 
 def lp_error_asymptotic(F: CdfLike, p: float) -> float:

@@ -9,8 +9,9 @@ because its rescaled size law does not depend on the step at all.
 
 Two integral inequalities constrain which size densities any such
 scale-invariant family can have; ``refinement_inequality_value`` and
-``density_bound_slack`` evaluate them numerically for a density, and
-``converse_bound`` gives the closed-form floor on R_0 - R_{p+1} they imply.
+``density_bound_slack`` evaluate them as exact piecewise sums for a density
+made of ``c x^k`` pieces, and ``converse_bound`` gives the closed-form floor
+on R_0 - R_{p+1} they imply.
 ``renewal_oracle_cdf`` simulates the random-split renewal process directly,
 providing a sampling-based check of the biased tree's closed-form size law.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,14 +146,23 @@ def tradeoff_curve(
 
 def converse_bound(p: float) -> float:
     """Floor on R_0 - R_{p+1} for scale-invariant requantizable families:
-    (1/p) log2( (1 - 2^-p)/p * (log2 e)^(p+1) )."""
+    (1/p) log2( (1 - 2^-p)/p * (log2 e)^(p+1) ).
+
+    With ``x = p ln 2`` it is ``log2(log2 e) + ln((1 - e^-x) / x) / x``, and
+    the logarithm, near ``-x/2``, would lose ``2^-52 / x`` to rounding; below
+    ``x = 1`` it is ``-x/2 + log1p(S)``, ``S = sinh(h)/h - 1`` for ``h = x/2``
+    summed as its series, whose positive terms ``h^(2n) / (2n+1)!`` fall at
+    least 80-fold, so nothing cancels as ``p -> 0``.
+    """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
-    p = float(p)
-    return (
-        math.log2(-math.expm1(-p * math.log(2.0)) / p)
-        + (p + 1.0) * math.log2(LOG2E)
-    ) / p
+    x = float(p) * math.log(2.0)
+    if x >= 1.0:
+        return math.log2(LOG2E) + math.log(-math.expm1(-x) / x) / x
+    h2, s, term, n = 0.25 * x * x, 0.0, x * x / 24.0, 3
+    while s + term != s:
+        s, term, n = s + term, term * h2 / ((n + 1) * (n + 2)), n + 2
+    return (math.log2(LOG2E) - 0.5) + math.log1p(s) / x
 
 
 # ---------------------------------------------------------------------------
@@ -160,73 +170,61 @@ def converse_bound(p: float) -> float:
 
 
 ClosedDensity = Union[BiasAlphaCdf, TwoPowUnifCdf]
+Piece = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
 class SizeDensity:
-    """A probability density on (0, inf) used by the feasibility checks.
+    """A density on (0, inf) for the feasibility checks: sorted, disjoint
+    pieces ``(l, r, c, k)``, each ``c x^k`` on ``[l, r)`` with ``0 < l < r <
+    inf``, ``0 <= c < inf`` and ``k`` finite, and zero off them.  The closed
+    laws are ``c / x`` pieces; on pieces both checks are exact finite sums."""
 
-    ``pdf`` is evaluated pointwise; ``support`` bounds where it may be
-    nonzero; ``kinks`` lists interior discontinuities so the quadrature can
-    split there.
-    """
-
-    pdf: Callable[[float], float]
-    support: Tuple[float, float]
-    kinks: Tuple[float, ...] = ()
+    pieces: Tuple[Piece, ...]
 
     def __post_init__(self) -> None:
-        lo, hi = self.support
-        if not (0.0 < lo < hi and math.isfinite(hi)):
-            raise DomainError("support must satisfy 0 < lo < hi < inf")
+        try:
+            pieces = tuple((float(l), float(r), float(c), float(k)) for l, r, c, k in self.pieces)
+        except (TypeError, ValueError):
+            raise DomainError("pieces must be (l, r, c, k) tuples of reals") from None
+        floors = [0.0] + [r for _, r, _, _ in pieces[:-1]]
+        if not pieces or not all(
+            floor <= l and 0.0 < l < r < math.inf and 0.0 <= c < math.inf and math.isfinite(k)
+            for floor, (l, r, c, k) in zip(floors, pieces)
+        ):
+            raise DomainError("pieces must be sorted, disjoint, 0 < l < r < inf, 0 <= c < inf, k finite")
+        object.__setattr__(self, "pieces", pieces)
+
+    @property
+    def support(self) -> Tuple[float, float]:
+        return self.pieces[0][0], self.pieces[-1][1]
 
     @classmethod
     def from_closed(cls, cdf: ClosedDensity) -> "SizeDensity":
-        if not isinstance(cdf, (BiasAlphaCdf, TwoPowUnifCdf)):
+        if isinstance(cdf, TwoPowUnifCdf):
+            return cls(((0.5, 1.0, LOG2E, -1.0),))
+        if not isinstance(cdf, BiasAlphaCdf):
             raise DomainError(f"no density available for {cdf!r}")
-        lo, hi = cdf.support
-        kinks = tuple(float(k) for k in cdf.kinks() if lo < k < hi)
-        return cls(
-            pdf=lambda x: float(cdf.pdf(np.asarray(x))),
-            support=(lo, hi),
-            kinks=kinks,
-        )
-
-    def _segments(self, extra: Sequence[float] = ()) -> List[float]:
-        lo, hi = self.support
-        pts = {lo, hi}
-        pts.update(k for k in self.kinks if lo < k < hi)
-        pts.update(e for e in extra if lo < e < hi)
-        return sorted(pts)
-
-    def integrate(self, weight: Callable[[float], float], lo: float, hi: float,
-                  extra: Sequence[float] = ()) -> float:
-        """Integral of weight(x) pdf(x) over [lo, hi] (clipped to support)."""
-        a = max(lo, self.support[0])
-        b = min(hi, self.support[1])
-        if a >= b:
-            return 0.0
-        from scipy.integrate import quad  # scipy loads slowly; only quadrature needs it
-
-        total = 0.0
-        cuts = [a] + [c for c in self._segments(extra) if a < c < b] + [b]
-        for left, right in zip(cuts, cuts[1:]):
-            val, _ = quad(
-                lambda x: weight(x) * self.pdf(x),
-                left,
-                right,
-                epsabs=1e-11,
-                epsrel=1e-11,
-                limit=200,
-            )
-            total += val
-        return total
+        # (log2 e / H) (a 1{a <= x} + (1 - a) 1{1 - a <= x}) / x below 1
+        lo, mid = sorted((cdf.alpha, 1.0 - cdf.alpha))
+        c = LOG2E / cdf.split_entropy
+        return cls(tuple(p for p in ((lo, mid, c * lo, -1.0), (mid, 1.0, c, -1.0)) if p[0] < p[1]))
 
 
-def _as_density(f: Union[SizeDensity, ClosedDensity]) -> SizeDensity:
-    if isinstance(f, SizeDensity):
-        return f
-    return SizeDensity.from_closed(f)
+def _pieces_of(f: Union[SizeDensity, ClosedDensity]) -> Tuple[Piece, ...]:
+    return (f if isinstance(f, SizeDensity) else SizeDensity.from_closed(f)).pieces
+
+
+def _piece_at(pieces: Tuple[Piece, ...], x: float) -> Tuple[float, float]:
+    """``(c, k)`` of the piece holding ``x``, or ``(0, 0)`` off the pieces."""
+    return next(((c, k) for l, r, c, k in pieces if l <= x < r), (0.0, 0.0))
+
+
+def _weighted(c: float, k: float, a: float, b: float) -> float:
+    """Integral of ``c x^k / x`` over ``[a, b]``, ``0 < a <= b``: ``c a^k
+    (e^(k t) - 1) / k`` with ``t = ln(b / a)``, or ``c t`` when ``k = 0``."""
+    t = math.log1p((b - a) / a)
+    return c * a ** k * (math.expm1(k * t) / k if k else t)
 
 
 def density_bound_slack(
@@ -236,20 +234,19 @@ def density_bound_slack(
 
     Any size density of a scale-invariant requantizable family satisfies
     f(y) <= integral of x^-1 (1 + 1{x > y}) f(x) dx for almost all y > 0.
-    Returns RHS - f(y) for each grid y; a negative slack (beyond quadrature
-    noise) certifies the density infeasible.
+    Returns RHS - f(y) for each grid y, summed exactly over the pieces; a
+    negative slack certifies the density infeasible.
     """
-    den = _as_density(f)
+    pieces = _pieces_of(f)
     ys = [float(y) for y in y_grid]
     if not ys or not all(math.isfinite(y) and y > 0.0 for y in ys):
         raise DomainError("y_grid must be nonempty positive finite reals")
-    lo, hi = den.support
-    base = den.integrate(lambda x: 1.0 / x, lo, hi)
-    out = []
-    for y in ys:
-        tail = den.integrate(lambda x: 1.0 / x, y, hi, extra=(y,))
-        out.append(base + tail - den.pdf(y))
-    return out
+
+    def tail(y: float) -> float:
+        return math.fsum(_weighted(c, k, max(l, y), r) for l, r, c, k in pieces if r > y)
+
+    base = tail(0.0)
+    return [base + tail(y) - c * y ** k for y, (c, k) in ((y, _piece_at(pieces, y)) for y in ys)]
 
 
 def refinement_inequality_value(
@@ -259,33 +256,28 @@ def refinement_inequality_value(
 
     Evaluates integral of x^-1 (1 + 1{f(x) >= zeta f(x zeta)})
     (f(x) - zeta f(x zeta)) dx, which is at most zero for the stationary
-    size density of any scale-invariant requantizable family.
+    size density of any scale-invariant requantizable family.  The sum is
+    exact: ``zeta f(zeta x)`` is the piece ``c zeta^(k+1) x^k`` on
+    ``[l / zeta, r / zeta)``, and between the ends of both densities' pieces
+    the indicator is constant, except that two pieces of different ``k``
+    cross once, where the interval is cut again.
     """
     if not (isinstance(zeta, (int, float)) and math.isfinite(zeta)) or zeta <= 1.0:
         raise DomainError(f"zeta must exceed 1, got {zeta!r}")
     zeta = float(zeta)
-    den = _as_density(f)
-    lo, hi = den.support
-
-    def integrand(x: float) -> float:
-        fx = den.pdf(x)
-        fz = zeta * den.pdf(x * zeta)
-        return (1.0 + (fx >= fz)) * (fx - fz) / x
-
-    # the integrand can be nonzero wherever f(x) or f(x zeta) is
-    a = lo / zeta
-    b = hi
-    cuts = {a, b, lo, hi / zeta}
-    cuts.update(k for k in den.kinks if a < k < b)
-    cuts.update(k / zeta for k in den.kinks if a < k / zeta < b)
-    grid = sorted(c for c in cuts if a <= c <= b)
-    from scipy.integrate import quad  # scipy loads slowly; only quadrature needs it
-
-    total = 0.0
-    for left, right in zip(grid, grid[1:]):
-        val, _ = quad(integrand, left, right, epsabs=1e-11, epsrel=1e-11, limit=200)
-        total += val
-    return total
+    fs = _pieces_of(f)
+    gs = tuple((l / zeta, r / zeta, c * zeta ** (k + 1.0), k) for l, r, c, k in fs)
+    cuts = sorted({e for l, r, _, _ in fs + gs for e in (l, r)})
+    terms = []
+    for u, v in zip(cuts, cuts[1:]):
+        (cf, kf), (cg, kg) = _piece_at(fs, u), _piece_at(gs, u)
+        cross = (cg / cf) ** (1.0 / (kf - kg)) if kf != kg and cf > 0.0 and cg > 0.0 else u
+        ends = [u, cross, v] if u < cross < v else [u, v]
+        for a, b in zip(ends, ends[1:]):
+            m = math.sqrt(a * b)
+            ahead = cf * m ** kf >= cg * m ** kg
+            terms.append((1.0 + ahead) * (_weighted(cf, kf, a, b) - _weighted(cg, kg, a, b)))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,7 @@ def _suite_converse(seed: int) -> List[CheckResult]:
                 detail=f"max integral {worst:.3e} over zeta in {{1.5, 2, 4}}",
             )
         )
-    bad = SizeDensity(
-        pdf=lambda x: 10.0 if 0.9 <= x < 1.0 else 0.0, support=(0.9, 1.0)
-    )
+    bad = SizeDensity(((0.9, 1.0, 10.0, 0.0),))  # 10 on [0.9, 1)
     slack = min(density_bound_slack(bad, [0.92, 0.95, 0.99]))
     out.append(
         CheckResult(

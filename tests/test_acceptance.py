@@ -247,7 +247,7 @@ def test_criterion_09_density_inequalities_feasible():
         max_integral = max(
             max_integral, max(refinement_inequality_value(f, z) for z in zetas)
         )
-    bad = SizeDensity(pdf=lambda x: 10.0 if 0.9 <= x < 1.0 else 0.0, support=(0.9, 1.0))
+    bad = SizeDensity(((0.9, 1.0, 10.0, 0.0),))  # 10 on [0.9, 1)
     bad_slack = min(density_bound_slack(bad, [0.92, 0.95, 0.99]))
     ok = min_pointwise >= -1e-6 and max_integral <= 1e-6 and bad_slack < -1e-6
     assert report(

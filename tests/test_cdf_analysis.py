@@ -1,8 +1,9 @@
 """Tests for cell-size distributions, the Levy metric, and derived rates.
 
 Closed-form values are cross-checked against independent numerical
-integration of the densities, the Levy bisection against a brute-force grid
-scan of the defining infimum, and the level-count integral against exact
+integration of the densities (scipy, and mpmath at 50 digits where the
+float formulas cancel), the Levy bisection against a brute-force grid scan
+of the defining infimum, and the level-count integral against exact
 rational arithmetic.
 """
 
@@ -10,6 +11,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -385,6 +387,24 @@ class TestRenyiRates:
             )
             assert renyi_rate(cdf, 1.0) == pytest.approx(shannon, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5 + 1e-8, 0.5 + 1e-4, 0.6, 0.74])
+    @pytest.mark.parametrize("eta", [0.0, 1.0 - 1e-7, 1.0 + 1e-6, 2.0, 3.0])
+    def test_bias_rates_against_50_digits(self, alpha, eta):
+        # Near alpha = 1/2 and eta = 1 the float formula cancels; the worst
+        # relative error measured on this grid is 4.7e-9, at
+        # (0.5 + 1e-8, 1 - 1e-7).  The oracle integrates gamma^(eta - 1)
+        # against the density's two pieces, (log2 e / H) min(a, 1 - a) / x
+        # below max(a, 1 - a) and (log2 e / H) / x above it.
+        with mpmath.workdps(50):
+            a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
+            lo, mid = sorted((a, 1 - a))
+            scale = 1 / (mpmath.log(2) * (-a * mpmath.log(a, 2) - (1 - a) * mpmath.log(1 - a, 2)))
+            integral = mpmath.quad(lambda x: scale * lo * x ** (e - 2), [lo, mid]) + mpmath.quad(
+                lambda x: scale * x ** (e - 2), [mid, 1]
+            )
+            want = mpmath.log(integral, 2) / (1 - e)
+            assert abs(renyi_rate(BiasAlphaCdf(alpha), eta) - want) <= 1e-8 * abs(want)
+
     def test_single_atom_is_rate_free(self):
         F = StepCdf(np.array([1.0]), np.array([1.0]))
         for eta in (0.0, 0.5, 1.0, 2.0, 7.0):
@@ -549,10 +569,11 @@ def listed_functionals(spec, s, x0, x1, ps):
     masses = sizes * counts / (x1 - x0)
     cdf = StepCdf(sizes, masses) if abs(math.fsum(masses.tolist()) - 1.0) <= 1e-12 else None
     w = clipped / (x1 - x0)
+    t = math.ldexp(1.0, min(1023, 1 - math.frexp(s)[1]))  # offsets near 1: no power underflows
 
     def lp(p):
-        anti = lambda u: np.copysign(np.abs(u) ** (p + 1.0), u) / (p + 1.0)  # noqa: E731
-        return float(np.sum(anti(b) - anti(a)) / (x1 - x0))
+        anti = lambda u: np.copysign(np.abs(t * u) ** (p + 1.0), u) / (p + 1.0)  # noqa: E731
+        return float(np.sum(anti(b) - anti(a)) / (t * (x1 - x0))) * t**-p
 
     return len(cells), cdf, float(-(w @ np.log2(w))), [lp(p) for p in ps]
 
@@ -804,6 +825,44 @@ class TestLpError:
         got = lp_error_exact(QuantizerSpec.bbmrq(0.51), 1.0, 0.0, 1e5, 1.0)
         want = lp_error_asymptotic(BiasAlphaCdf(0.51), 1.0)
         assert got == pytest.approx(want, rel=0.01)
+
+
+class TestFloat64Edges:
+    """Windows at the edges of float64 give a finite value or DomainError,
+    never nan, with every warning raised as an error."""
+
+    def test_unit_window_far_from_its_level(self):
+        # the cut cell is about 7e276 long, so the window's offsets from its
+        # level round to one float and their squares overflow
+        spec, s = QuantizerSpec.bbmrq(0.6), 1.1632527543155014e277
+        level = cell_of(spec, s, -0.5).level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_error_exact(spec, s, -1.0, -5e-324, 1.0) == pytest.approx(-level, rel=1e-12)
+            assert lp_error_exact(spec, s, -1.0, -5e-324, 0.5) == pytest.approx((-level) ** 0.5, rel=1e-12)
+            with pytest.raises(DomainError):
+                lp_error_exact(spec, s, -1.0, -5e-324, 2.0)  # about 1.4e553
+
+    def test_subnormal_window_far_from_its_level(self):
+        # the window's length over its offset from the level, 3e-317 / 3e129,
+        # underflows to 0; the mean of |x - level|^p is still |level|^p
+        spec, s = QuantizerSpec.uniform(), 6.72990168472957e129
+        level = cell_of(spec, s, -1e-317).level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (0.5, 1.0, 2.0):
+                assert lp_error_exact(spec, s, -2.990801e-317, -5e-324, p) == pytest.approx(
+                    (-level) ** p, rel=1e-12
+                )
+
+    def test_piece_whose_share_underflows(self):
+        # [0, 5e-324) is 5e-324 / 9e15 of the window, which underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = QuantizerSpec.bbmrq(0.9, nonstandard_alpha=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert output_entropy(spec, 5.45741447151355e241, -9007199254740992.0, 5e-324) == 0.0
 
 
 class TestFiniteWindowConvergence:

@@ -48,9 +48,23 @@ def test_perfbench_wraps_resolve(monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy costs most of the import time and only quadrature needs it.
+    # scipy costs most of the import time, and only the tests use it.
     src = str(Path(mrquant.__file__).resolve().parents[1])
     code = "import sys; import mrquant; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_verify_needs_numpy_only():
+    # With scipy unimportable every verify suite still runs, and only the two
+    # convergence checks that fail by design (criteria 4 and 5) fail.
+    src = str(Path(mrquant.__file__).resolve().parents[1])
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            "sys.argv = ['mrquant', 'verify', '--suite', 'all']; "
+            "runpy.run_module('mrquant.cli', run_name='__main__')")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, timeout=300)
+    assert out.returncode == 3, out.stderr
+    failed = [line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["scale.rescaled_cdfs_pairwise", "renewal.matches_closed_form"]

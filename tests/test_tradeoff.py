@@ -13,6 +13,9 @@ Oracles used here:
   c/x^2 pieces.
 * The biased-tree density gives slack log2(e)/H(alpha) on the lower piece
   of its support and 0 on the upper piece, again by hand integration.
+* The exact piecewise sums of both integral inequalities are checked
+  against scipy quadrature of the laws' own pointwise densities, and
+  ``converse_bound`` against a 50-digit mpmath evaluation of its formula.
 * The renewal simulator is checked against the exact first-crossing law,
   computed by dynamic programming over the lattice of visit counts: the
   walk visits i steps of -log2(alpha) and j of -log2(1-alpha) with
@@ -23,8 +26,11 @@ import math
 import warnings
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mrquant.cdf_analysis import (
     LOG2E,
@@ -219,6 +225,14 @@ class TestConverseBound:
             math.log2(LOG2E) - 0.5, abs=1e-3
         )
 
+    @pytest.mark.parametrize("p", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 2.0, 50.0])
+    def test_against_50_digits(self, p):
+        # the numerator cancels to 0 as p -> 0 when taken as written
+        with mpmath.workdps(50):
+            q = mpmath.mpf(p)
+            want = mpmath.log((1 - mpmath.mpf(2) ** -q) / q / mpmath.log(2) ** (q + 1), 2) / q
+            assert abs(converse_bound(p) - want) <= 1e-12 * abs(want)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             converse_bound(0.0)
@@ -276,13 +290,10 @@ class TestDensityBoundSlack:
         assert min(density_bound_slack(law, ys)) >= -1e-6
 
     def test_narrow_uniform_flagged_infeasible(self):
-        bad = SizeDensity(
-            pdf=lambda x: 10.0 if 0.9 <= x < 1.0 else 0.0,
-            support=(0.9, 1.0),
-        )
+        bad = SizeDensity(((0.9, 1.0, 10.0, 0.0),))
         (slack,) = density_bound_slack(bad, [0.95])
         expected = 10.0 * math.log(1.0 / 0.9) + 10.0 * math.log(1.0 / 0.95) - 10.0
-        assert slack == pytest.approx(expected, abs=1e-6)
+        assert slack == pytest.approx(expected, abs=1e-12)
         assert slack < -1e-6
 
     def test_validation(self):
@@ -292,9 +303,36 @@ class TestDensityBoundSlack:
         with pytest.raises(DomainError):
             density_bound_slack(tp, [0.5, -1.0])
         with pytest.raises(DomainError):
-            SizeDensity(pdf=lambda x: 1.0, support=(0.0, 1.0))
+            SizeDensity(((0.0, 1.0, 1.0, 0.0),))
         with pytest.raises(DomainError):
-            SizeDensity(pdf=lambda x: 1.0, support=(0.5, math.inf))
+            SizeDensity(((0.5, math.inf, 1.0, 0.0),))
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            (),
+            ((0.5, 0.8, 1.0, 0.0), (0.7, 1.0, 1.0, 0.0)),  # overlapping
+            ((0.7, 1.0, 1.0, 0.0), (0.5, 0.7, 1.0, 0.0)),  # unsorted
+            ((0.7, 0.5, 1.0, 0.0),),  # r < l
+            ((0.5, 1.0, -1.0, 0.0),),
+            ((0.5, 1.0, math.inf, 0.0),),
+            ((0.5, 1.0, math.nan, 0.0),),
+            ((0.5, 1.0, 1.0, math.nan),),
+            ((0.5, 1.0, 1.0),),
+        ],
+    )
+    def test_piece_validation(self, pieces):
+        with pytest.raises(DomainError):
+            SizeDensity(pieces)
+
+    def test_pieces_define_support_and_closed_laws(self):
+        den = SizeDensity([(0.5, 0.7, 1, 0), (0.7, 1.0, 2.0, -1.0)])
+        assert den.pieces == ((0.5, 0.7, 1.0, 0.0), (0.7, 1.0, 2.0, -1.0))
+        assert den.support == (0.5, 1.0)
+        assert SizeDensity.from_closed(TwoPowUnifCdf()).pieces == ((0.5, 1.0, LOG2E, -1.0),)
+        assert len(SizeDensity.from_closed(BiasAlphaCdf(0.5)).pieces) == 1
+        with pytest.raises(DomainError):
+            SizeDensity.from_closed(StepCdf(np.array([1.0]), np.array([1.0])))
 
 
 class TestRefinementInequality:
@@ -328,10 +366,7 @@ class TestRefinementInequality:
         # the narrow uniform density fails the pointwise bound, yet at
         # zeta = 2 the two lobes of this integral cancel exactly; a single
         # refinement check is weaker than the pointwise one
-        bad = SizeDensity(
-            pdf=lambda x: 10.0 if 0.9 <= x < 1.0 else 0.0,
-            support=(0.9, 1.0),
-        )
+        bad = SizeDensity(((0.9, 1.0, 10.0, 0.0),))
         assert abs(refinement_inequality_value(bad, 2.0)) <= 1e-8
 
     def test_validation(self):
@@ -339,6 +374,98 @@ class TestRefinementInequality:
             refinement_inequality_value(TwoPowUnifCdf(), 1.0)
         with pytest.raises(DomainError):
             refinement_inequality_value(TwoPowUnifCdf(), math.inf)
+
+
+def quad_sum(fn, cuts):
+    """Quadrature of fn over consecutive cuts, one call per interval."""
+    parts = (quad(fn, l, r, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for l, r in zip(cuts, cuts[1:]))
+    return math.fsum(parts)
+
+
+def quad_slack(pdf, kinks, y):
+    """density_bound_slack at y by quadrature of the pointwise density."""
+    base = quad_sum(lambda x: pdf(x) / x, kinks)
+    tail = quad_sum(lambda x: pdf(x) / x, sorted({max(k, y) for k in kinks})) if y < kinks[-1] else 0.0
+    return base + tail - pdf(y)
+
+
+def quad_refinement(pdf, kinks, zeta):
+    """refinement_inequality_value by quadrature of the pointwise integrand,
+    split at the kinks of f and of f(zeta x) and at every sign change of
+    f - zeta f(zeta x) that brentq finds inside those intervals; also
+    returns how many it found."""
+    def gap(x):
+        return pdf(x) - zeta * pdf(zeta * x)
+
+    def integrand(x):
+        d = gap(x)
+        return (1.0 + (d >= 0.0)) * d / x
+
+    cuts = sorted(set(kinks) | {k / zeta for k in kinks})
+    roots = []
+    for u, v in zip(cuts, cuts[1:]):
+        a, b = u + 1e-9 * (v - u), v - 1e-9 * (v - u)
+        if gap(a) * gap(b) < 0.0 and abs(gap(a)) > 1e-9 and abs(gap(b)) > 1e-9:
+            roots.append(brentq(gap, a, b, xtol=1e-15))
+    return quad_sum(integrand, sorted(cuts + roots)), len(roots)
+
+
+def closed_pdf(law):
+    return lambda x: float(law.pdf(np.asarray(x)))
+
+
+CLOSED_LAWS = [BiasAlphaCdf(a) for a in (0.501, 0.51, 0.55, 0.6, 0.7, 0.74, 0.3, 0.9)] + [
+    TwoPowUnifCdf()
+]
+ZETAS = (1.2, 1.5, 2.0, 4.0, 7.3)
+VERIFY_YS = np.linspace(0.2, 1.1, 64).tolist()
+
+# mixed exponents: 1/Z on [0.4, 0.7) and 0.65/(Z x) on [0.7, 1), a
+# probability density; its k = 0 piece meets the k = -1 piece of
+# zeta f(zeta x), 0.65/(Z x) on [0.7/zeta, 1/zeta), and they cross at
+# x = 0.65 for 0.7/0.65 <= zeta < 1/0.65, as at 1.2 and 1.5
+MIXED_Z = 0.3 + 0.65 * math.log(1.0 / 0.7)
+MIXED = SizeDensity(((0.4, 0.7, 1.0 / MIXED_Z, 0.0), (0.7, 1.0, 0.65 / MIXED_Z, -1.0)))
+
+
+def mixed_pdf(x):
+    if 0.4 <= x < 0.7:
+        return 1.0 / MIXED_Z
+    if 0.7 <= x < 1.0:
+        return 0.65 / MIXED_Z / x
+    return 0.0
+
+
+class TestClosedFormsAgainstQuadrature:
+    """The exact sums against scipy quadrature of pointwise densities: the
+    closed laws' own ``pdf`` (standard, near-half and nonstandard alphas, and
+    the two-power law) and a density with k = 0 and k = -1 pieces."""
+
+    @pytest.mark.parametrize("law", CLOSED_LAWS, ids=repr)
+    def test_pointwise_slack(self, law):
+        kinks = law.kinks().tolist()  # the support's ends and the interior kink
+        got = density_bound_slack(law, VERIFY_YS)
+        want = [quad_slack(closed_pdf(law), kinks, y) for y in VERIFY_YS]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
+
+    @pytest.mark.parametrize("law", CLOSED_LAWS, ids=repr)
+    def test_refinement_integral(self, law):
+        kinks = law.kinks().tolist()
+        for zeta in ZETAS:
+            want, _ = quad_refinement(closed_pdf(law), kinks, zeta)
+            assert abs(refinement_inequality_value(law, zeta) - want) <= 1e-13, zeta
+
+    def test_mixed_exponents(self):
+        kinks = [0.4, 0.7, 1.0]
+        got = density_bound_slack(MIXED, VERIFY_YS)
+        want = [quad_slack(mixed_pdf, kinks, y) for y in VERIFY_YS]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
+        crossed = 0
+        for zeta in ZETAS:
+            want, roots = quad_refinement(mixed_pdf, kinks, zeta)
+            crossed += roots
+            assert abs(refinement_inequality_value(MIXED, zeta) - want) <= 1e-13, zeta
+        assert crossed >= 2  # the crossing cut is exercised at zeta = 1.2 and 1.5
 
 
 def exact_first_crossing_law(alpha: float, horizon: float) -> StepCdf:
