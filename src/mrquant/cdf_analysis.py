@@ -548,44 +548,43 @@ def empirical_cell_cdf(spec: QuantizerSpec, s: float, x0: float, x1: float) -> S
 
 
 def _operand(F) -> CdfLike:
-    if not (hasattr(F, "cdf") and hasattr(F, "cdf_left") and hasattr(F, "kinks")):
-        raise DomainError(f"not a cdf object: {F!r}")
+    if not isinstance(F, (StepCdf, BiasAlphaCdf, TwoPowUnifCdf)):
+        raise DomainError(f"not a StepCdf, BiasAlphaCdf or TwoPowUnifCdf: {F!r}")
     return F
+
+
+def _exceeds(p: CdfLike, q: CdfLike, eps: float) -> bool:
+    """Whether ``p(x) - q(x + eps) > eps`` for some x (beyond 1e-12)."""
+    kp, kq = p.kinks(), q.kinks()
+    gaps = [p.cdf(kp) - q.cdf(kp + eps), p.cdf_left(kq - eps) - q.cdf_left(kq)]
+    if not (isinstance(p, StepCdf) or isinstance(q, StepCdf)):
+        # Between kinks both are c + d log2 x, so the gap is stationary only
+        # where d_p / x = d_q / (x + eps); equal slopes get x = 0, a gap <= 0.
+        slopes = [np.diff(F.cdf(k)) / np.diff(np.log2(k)) for F, k in ((p, kp), (q, kq))]
+        dp, dq = np.meshgrid(*slopes)
+        x = np.divide(dp * eps, dq - dp, out=np.zeros_like(dp), where=dp != dq)
+        gaps.append(p.cdf(x) - q.cdf(x + eps))
+    return any((gap - eps > 1e-12).any() for gap in gaps)
 
 
 def levy_distance(F, G, tol: float = 1e-4) -> float:
     """Levy metric between two size cdfs, bisected to absolute accuracy tol.
 
-    Feasibility of an offset eps is checked on a candidate grid: every kink
-    of either cdf, each kink shifted by +-eps, one-ulp left neighbours of all
-    of those (to capture one-sided limits at jumps), and, unless both are
-    :class:`StepCdf`, a uniform grid of 20 001 points over the joint support
-    for the continuous parts.  For step cdfs the kinks alone are exhaustive
-    and the check exact, however many atoms they have.
+    Each operand is a :class:`StepCdf`, :class:`BiasAlphaCdf` or
+    :class:`TwoPowUnifCdf`: between its kinks it is constant or ``c + d
+    log2 x``.  An offset eps is feasible unless ``p(x) - q(x + eps) > eps``
+    for some x, with (p, q) either way round; that gap is largest at a kink
+    of p, just below a kink of q shifted by -eps (the left limits there), or,
+    between two closed forms, where their log2-slopes balance at ``x = d_p
+    eps / (d_q - d_p)``.  Those points are checked exactly; no grid is used.
     """
     f = _operand(F)
     g = _operand(G)
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
-    kf = np.asarray(f.kinks(), dtype=np.float64)
-    kg = np.asarray(g.kinks(), dtype=np.float64)
-    if isinstance(f, StepCdf) and isinstance(g, StepCdf):
-        grid = np.empty(0)
-    else:
-        lo_x = min(kf[0], kg[0])
-        hi_x = max(kf[-1], kg[-1])
-        pad = 0.0625 * (hi_x - lo_x) + 2.0 * tol
-        grid = np.linspace(lo_x - pad, hi_x + pad, 20_001)
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol)) or tol <= 0.0:
+        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
 
     def feasible(eps: float) -> bool:
-        xs = np.concatenate((grid, kf, kg, kf - eps, kf + eps, kg - eps, kg + eps))
-        xs = np.concatenate((xs, np.nextafter(xs, -np.inf)))
-        gv = g.cdf(xs)
-        fv_hi = f.cdf(xs + eps)
-        if (gv - fv_hi - eps > 1e-12).any():
-            return False
-        fv_lo = f.cdf(xs - eps)
-        return not (fv_lo - eps - gv > 1e-12).any()
+        return not (_exceeds(g, f, eps) or _exceeds(f, g, eps))
 
     if feasible(0.0):
         return 0.0

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -227,6 +227,19 @@ def _weighted(c: float, k: float, a: float, b: float) -> float:
     return c * a ** k * (math.expm1(k * t) / k if k else t)
 
 
+def _in_float64(what: str, values: Callable[[], List[float]]) -> List[float]:
+    """``values()``, or DomainError when a sum over user-built pieces leaves
+    float64: a float ``**`` or ``math.fsum`` overflows, an end divided by
+    zeta underflows to 0, or inf - inf gives nan."""
+    try:
+        out = values()
+    except (ArithmeticError, ValueError):
+        out = [math.nan]
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{what} leaves float64 on these pieces")
+    return out
+
+
 def density_bound_slack(
     f: Union[SizeDensity, ClosedDensity], y_grid: Sequence[float]
 ) -> List[float]:
@@ -235,7 +248,8 @@ def density_bound_slack(
     Any size density of a scale-invariant requantizable family satisfies
     f(y) <= integral of x^-1 (1 + 1{x > y}) f(x) dx for almost all y > 0.
     Returns RHS - f(y) for each grid y, summed exactly over the pieces; a
-    negative slack certifies the density infeasible.
+    negative slack certifies the density infeasible.  A sum beyond float64
+    raises DomainError.
     """
     pieces = _pieces_of(f)
     ys = [float(y) for y in y_grid]
@@ -245,8 +259,11 @@ def density_bound_slack(
     def tail(y: float) -> float:
         return math.fsum(_weighted(c, k, max(l, y), r) for l, r, c, k in pieces if r > y)
 
-    base = tail(0.0)
-    return [base + tail(y) - c * y ** k for y, (c, k) in ((y, _piece_at(pieces, y)) for y in ys)]
+    def slacks() -> List[float]:
+        base = tail(0.0)
+        return [base + tail(y) - c * y ** k for y, (c, k) in ((y, _piece_at(pieces, y)) for y in ys)]
+
+    return _in_float64("density_bound_slack", slacks)
 
 
 def refinement_inequality_value(
@@ -260,24 +277,29 @@ def refinement_inequality_value(
     exact: ``zeta f(zeta x)`` is the piece ``c zeta^(k+1) x^k`` on
     ``[l / zeta, r / zeta)``, and between the ends of both densities' pieces
     the indicator is constant, except that two pieces of different ``k``
-    cross once, where the interval is cut again.
+    cross once, where the interval is cut again.  A sum beyond float64
+    raises DomainError.
     """
     if not (isinstance(zeta, (int, float)) and math.isfinite(zeta)) or zeta <= 1.0:
         raise DomainError(f"zeta must exceed 1, got {zeta!r}")
     zeta = float(zeta)
     fs = _pieces_of(f)
-    gs = tuple((l / zeta, r / zeta, c * zeta ** (k + 1.0), k) for l, r, c, k in fs)
-    cuts = sorted({e for l, r, _, _ in fs + gs for e in (l, r)})
-    terms = []
-    for u, v in zip(cuts, cuts[1:]):
-        (cf, kf), (cg, kg) = _piece_at(fs, u), _piece_at(gs, u)
-        cross = (cg / cf) ** (1.0 / (kf - kg)) if kf != kg and cf > 0.0 and cg > 0.0 else u
-        ends = [u, cross, v] if u < cross < v else [u, v]
-        for a, b in zip(ends, ends[1:]):
-            m = math.sqrt(a * b)
-            ahead = cf * m ** kf >= cg * m ** kg
-            terms.append((1.0 + ahead) * (_weighted(cf, kf, a, b) - _weighted(cg, kg, a, b)))
-    return math.fsum(terms)
+
+    def value() -> List[float]:
+        gs = tuple((l / zeta, r / zeta, c * zeta ** (k + 1.0), k) for l, r, c, k in fs)
+        cuts = sorted({e for l, r, _, _ in fs + gs for e in (l, r)})
+        terms = []
+        for u, v in zip(cuts, cuts[1:]):
+            (cf, kf), (cg, kg) = _piece_at(fs, u), _piece_at(gs, u)
+            cross = (cg / cf) ** (1.0 / (kf - kg)) if kf != kg and cf > 0.0 and cg > 0.0 else u
+            ends = [u, cross, v] if u < cross < v else [u, v]
+            for a, b in zip(ends, ends[1:]):
+                m = math.sqrt(a * b)
+                ahead = cf * m ** kf >= cg * m ** kg
+                terms.append((1.0 + ahead) * (_weighted(cf, kf, a, b) - _weighted(cg, kg, a, b)))
+        return [math.fsum(terms)]
+
+    return _in_float64("refinement_inequality_value", value)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ of the defining infimum, and the level-count integral against exact
 rational arithmetic.
 """
 
+import bisect
 import math
 import warnings
 from fractions import Fraction
@@ -52,8 +53,8 @@ def level_count_integral(spec, s, x0, x1) -> Fraction:
 
 
 def gridded_levy(F, G, tol=1e-4):
-    """levy_distance as it was before step cdfs skipped the grid: kinks,
-    kinks shifted by +-eps, their left neighbours and 20 001 grid points."""
+    """The gridded Levy check, the reference for the exact one: kinks, kinks
+    shifted by +-eps, their left neighbours and 20 001 grid points."""
     kf, kg = F.kinks(), G.kinks()
     lo_x, hi_x = min(kf[0], kg[0]), max(kf[-1], kg[-1])
     pad = 0.0625 * (hi_x - lo_x) + 2.0 * tol
@@ -80,14 +81,17 @@ def gridded_levy(F, G, tol=1e-4):
 
 
 def brute_levy(F, G, xs, eps_step=1e-4):
-    """Direct scan of the defining infimum on a fixed grid of x and eps."""
+    """The defining infimum on a fixed grid of x and eps: the first feasible
+    eps of the grid, found by bisection, as feasibility is monotone in eps."""
     Gv = G.cdf(xs)
-    for eps in np.arange(0.0, 1.0 + eps_step, eps_step):
-        hi = F.cdf(xs + eps) + eps
-        lo = F.cdf(xs - eps) - eps
-        if (Gv <= hi + 1e-12).all() and (lo <= Gv + 1e-12).all():
-            return eps
-    return 1.0
+    epss = np.arange(0.0, 1.0 + eps_step, eps_step)
+
+    def feasible(i):
+        eps = epss[i]
+        return bool((Gv <= F.cdf(xs + eps) + eps + 1e-12).all() and (F.cdf(xs - eps) - eps <= Gv + 1e-12).all())
+
+    i = bisect.bisect_left(range(epss.size), True, key=feasible)
+    return float(epss[i]) if i < epss.size else 1.0
 
 
 class TestStepCdf:
@@ -320,13 +324,30 @@ class TestLevyDistance:
         assert d51 <= 0.02
         assert d51 < d55 < d60
 
-    def test_rejects_non_cdf(self):
-        with pytest.raises(DomainError):
-            levy_distance(BiasAlphaCdf(0.6), object())
+    def test_closed_forms_pin(self):
+        # Where the log2-slopes balance: without that candidate the check
+        # reads 0.0251617431640625; a 400 001-point grid agrees with this.
+        A, B = BiasAlphaCdf(0.7), BiasAlphaCdf(0.74)
+        assert levy_distance(A, B) == levy_distance(B, A) == 0.0252532958984375
+        assert gridded_levy(A, B) == 0.0252532958984375
 
-    def test_step_cdfs_match_the_gridded_check(self):
+    def test_rejects_non_cdf(self):
+        class DuckCdf:
+            cdf = cdf_left = BiasAlphaCdf(0.6).cdf
+            kinks = BiasAlphaCdf(0.6).kinks
+
+        for other in (object(), DuckCdf()):
+            with pytest.raises(DomainError):
+                levy_distance(BiasAlphaCdf(0.6), other)
+        for tol in ("x", math.inf, math.nan, 0.0, -1e-4):
+            with pytest.raises(DomainError):
+                levy_distance(BiasAlphaCdf(0.6), TwoPowUnifCdf(), tol)
+
+    def test_matches_the_gridded_check(self):
         # Between two step cdfs the kinks are exhaustive, so the grid adds
-        # nothing: the same bisection, bit for bit.
+        # nothing: the same bisection, bit for bit.  Against a closed form
+        # the grid can miss the largest gap by a hair, so a window's cdf may
+        # come out one bisection step (2^-15 at tol 1e-4) away from it.
         rng = np.random.default_rng(2026)
 
         def rand_step():
@@ -343,6 +364,19 @@ class TestLevyDistance:
             tol = float(10.0 ** rng.uniform(-9, -2))
             assert levy_distance(A, B, tol) == gridded_levy(A, B, tol)
             assert levy_distance(A, A.scaled(1.0 + 1e-9), tol) == gridded_levy(A, A.scaled(1.0 + 1e-9), tol)
+        for _ in range(8):
+            alpha = float(rng.uniform(0.51, 0.74))
+            s = float(10.0 ** rng.uniform(-3.0, -1.0))
+            x0 = float(rng.uniform(0.0, 1.0))
+            x1 = x0 + float(rng.uniform(5.0, 200.0)) * s
+            for spec, law in (
+                (QuantizerSpec.bbmrq(alpha), BiasAlphaCdf(alpha)),
+                (QuantizerSpec.bmrq(), TwoPowUnifCdf()),
+                (QuantizerSpec.dbmrq(), TwoPowUnifCdf()),
+            ):
+                F = empirical_cell_cdf(spec, s, x0, x1).scaled(1.0 / s)
+                for A, B in ((F, law), (law, F)):
+                    assert abs(levy_distance(A, B) - gridded_levy(A, B)) in (0.0, 2.0**-15), (spec, s, x0, x1)
 
     def test_dense_step_cdfs_are_checked_exactly(self):
         # Half the mass sits on one atom of a 30 001-atom grid; moving that

@@ -376,6 +376,20 @@ class TestRefinementInequality:
             refinement_inequality_value(TwoPowUnifCdf(), math.inf)
 
 
+def test_sums_beyond_float64_raise():
+    beyond = [
+        lambda: density_bound_slack(SizeDensity(((1e-200, 1.0, 1.0, -2.0),)), [0.5]),  # a ** k overflows
+        lambda: refinement_inequality_value(SizeDensity(((0.5, 1.0, 1.0, 3.0),)), 1e300),  # zeta ** (k + 1)
+        lambda: refinement_inequality_value(SizeDensity(((5e-324, 1.0, 1.0, -1.0),)), 2.0),  # l / zeta is 0
+        lambda: density_bound_slack(SizeDensity(((0.5, 1.0, 1e308, -1.0),)), [0.5]),  # inf - inf
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in beyond:
+            with pytest.raises(DomainError):
+                check()
+
+
 def quad_sum(fn, cuts):
     """Quadrature of fn over consecutive cuts, one call per interval."""
     parts = (quad(fn, l, r, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for l, r in zip(cuts, cuts[1:]))
