@@ -35,6 +35,7 @@ from .quantizers import (
     _cells_many,
     _dyadic_level,
     _lattice_index,
+    _listing_bounds,
     _midpoint,
     _split,
     _window_args,
@@ -288,25 +289,21 @@ def _lattice_window(
 
 
 def _biased_window(spec: QuantizerSpec, s: float, x0: float, x1: float) -> _Window:
-    """The BBMRQ kernel: each side of zero in positive coordinates.
-
-    A cell ``[lo, hi)`` of ``|x|`` on the positive side is listed iff
-    ``lo < x1`` and ``hi > x0``.  Its mirror ``(-hi, -lo]`` is listed iff
-    ``-hi < x1`` and ``-lo >= x0``, as the walk lists it (it may hold only
-    ``x1``), unless it is ``(-5e-324, 0)``, which holds no float.  Pieces
-    of positive length are kept for the functionals whether listed or not.
+    """The BBMRQ kernel: each side of zero in positive coordinates, with
+    the cells listed as :func:`~mrquant.quantizers._listing_bounds` says.
+    Pieces of positive length are kept for the functionals whether listed
+    or not.
     """
     sizes: List[float] = []
     counts: List[int] = []
     sides = []
     visits = 0
+    pos, neg = _listing_bounds(x0, x1)
     if x1 > 0.0:
-        bounds = (max(x0, 0.0), x1, x0, math.nextafter(x1, -math.inf))
-        visits, cells = _biased_side(spec, s, bounds, sizes, counts, visits)
+        visits, cells = _biased_side(spec, s, (max(x0, 0.0), x1, *pos), sizes, counts, visits)
         sides.append((1.0, cells))
     if x0 < 0.0:
-        bounds = (max(-x1, 0.0), -x0, max(-x1, 5e-324), -x0)
-        visits, cells = _biased_side(spec, s, bounds, sizes, counts, visits)
+        visits, cells = _biased_side(spec, s, (max(-x1, 0.0), -x0, *neg), sizes, counts, visits)
         sides.append((-1.0, cells))
     parts = []
     for sign, cells in sides:

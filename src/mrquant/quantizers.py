@@ -26,10 +26,9 @@ holds bit for bit in float64, which requires some care: every cell endpoint is
 derived through one canonical computation path, so the same cell is never
 recomputed two different ways.  Biased-tree splits come from :func:`_split`
 (over a memoized table of ``alpha**n``), dyadic levels only from
-:func:`_dyadic_level`, midpoints only from :func:`_midpoint`.  A descent meets
-one base cell, whose split is its first step (see :func:`_biased_descent`), so
-the vector descent needs only the interior rule of :func:`_split`, applied
-elementwise.
+:func:`_dyadic_level`, midpoints only from :func:`_midpoint`, each on floats
+or arrays alike.  Which mirrored BBMRQ cells a window lists is settled in one
+place too: :func:`_listing_bounds` and :func:`_first_float`.
 
 The scalar rule :func:`cell_of` and the vector rule :func:`_cells_many` give the
 same cells bit for bit.  The vector rule serves :func:`quantize_many` and
@@ -383,23 +382,31 @@ def _lattice_cell(spec: QuantizerSpec, s: float, x: float) -> Cell:
 # Biased tree (BBMRQ)
 
 
-def _split(
-    pows: _AlphaPowers, alpha: float, lo: float, hi: float, base_level: int
-) -> float:
+def _split(pows: _AlphaPowers, alpha: float, lo, hi, base_level):
     """Split point of the biased-tree node ``[lo, hi)``.
 
-    A base cell ``[0, alpha**n)`` splits at the tabulated ``alpha**(n+1)``,
-    so the all-zero chain is self-consistent wherever a descent starts; any
-    other node splits at ``lo + alpha*(hi - lo)``.  A split not strictly
-    inside the node means float64 cannot resolve it.
+    A base cell ``[0, alpha**n)`` (``n = base_level``) splits at the
+    tabulated ``alpha**(n+1)``, so the all-zero chain is self-consistent
+    wherever a descent starts; any other node splits at ``lo + alpha*(hi -
+    lo)``.  A split not strictly inside the node means float64 cannot
+    resolve it.  Takes floats, or arrays elementwise: arrays of base cells
+    with an integer array ``base_level``, or of nodes off zero with None.
     """
-    split = pows.pow(base_level + 1) if lo == 0.0 else lo + alpha * (hi - lo)
-    if not lo < split < hi:
-        raise DomainError(
-            f"split of [{lo!r}, {hi!r}) is not strictly inside it; the step is "
-            "below the resolvable range"
-        )
-    return split
+    if isinstance(lo, np.ndarray):
+        split = lo + alpha * (hi - lo) if base_level is None else pows.pow(base_level + 1)
+        inside = (lo < split) & (split < hi)
+        if inside.all():
+            return split
+        i = np.argmin(inside)
+        lo, hi = float(lo[i]), float(hi[i])
+    else:
+        split = pows.pow(base_level + 1) if lo == 0.0 else lo + alpha * (hi - lo)
+        if lo < split < hi:
+            return split
+    raise DomainError(
+        f"split of [{lo!r}, {hi!r}) is not strictly inside it; the step is "
+        "below the resolvable range"
+    )
 
 
 def _biased_descent(
@@ -541,10 +548,11 @@ def _cells_many(
     cell off, an end out of range -- fails one check and goes through the
     scalar path, which repairs it or raises DomainError.
 
-    BBMRQ cells come from :func:`_biased_descent` on ``|x|``: the base cell's
-    split first, then the splits of the elements still descending, with the
-    same checks.  A negative ``x`` gets the mirror image of its positive
-    cell, whose level is the negated midpoint of that cell.
+    BBMRQ cells come from :func:`_biased_descent` on ``|x|``, every split
+    from :func:`_split` on arrays: the base cells' splits first, then those
+    of the nodes, all off zero, still descending.  A negative ``x`` gets the
+    mirror image of its positive cell, whose level is the negated midpoint
+    of that cell.
     """
     if spec.scheme is not Scheme.BBMRQ:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -566,18 +574,17 @@ def _cells_many(
     alpha = spec.alpha
     ax = np.abs(x)
     n = pows.largest_exponent_above(np.maximum(ax, s))
-    split = pows.pow(n + 1)
+    hi = pows.pow(n)
+    split = _split(pows, alpha, np.zeros(hi.size), hi, n)
     right = ax >= split
     lo = np.where(right, split, 0.0)
-    hi = np.where(right, pows.pow(n), split)
+    hi = np.where(right, hi, split)
     todo = np.flatnonzero(hi - lo > s)
     t_lo, t_hi, t_s, t_x = lo[todo], hi[todo], s[todo], ax[todo]
     for _ in range(pows.max_descent):
         if not todo.size:
             break
-        split = t_lo + alpha * (t_hi - t_lo)
-        if ((split <= t_lo) | (split >= t_hi)).any():
-            raise DomainError("descent stalled; step bound below resolvable range")
+        split = _split(pows, alpha, t_lo, t_hi, None)
         right = t_x >= split
         t_lo = np.where(right, split, t_lo)
         t_hi = np.where(right, t_hi, split)
@@ -646,6 +653,24 @@ def _checked_window(
     return s, x0, x1, math.floor(points) + 1
 
 
+def _listing_bounds(x0: float, x1: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """Per side of zero, the ``(bottom, top)`` such that the walk of
+    :func:`enumerate_cells` over ``[x0, x1)`` lists the BBMRQ cell ``[a, b)``
+    iff ``a <= top`` and ``b > bottom``: iff ``a < x1`` and ``b > x0``, and
+    its mirror ``(-b, -a]`` iff ``-b < x1`` and ``-a >= x0`` (it may hold
+    only ``x1``) and ``b > 5e-324`` (``(-5e-324, 0]`` holds no negative float).
+    """
+    return (x0, math.nextafter(x1, -math.inf)), (max(-x1, 5e-324), -x0)
+
+
+def _first_float(spec: QuantizerSpec, ends: np.ndarray) -> np.ndarray:
+    """The first float of the cells that start at ``ends``: the end itself,
+    or the float above it for a mirrored BBMRQ cell ``(lo, hi]``."""
+    if spec.scheme is not Scheme.BBMRQ:
+        return ends
+    return np.where(ends < 0.0, np.nextafter(ends, np.inf), ends)
+
+
 def enumerate_cells(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List[Cell]:
     """All cells meeting ``[x0, x1)``, ascending, sharing endpoints bitwise.
 
@@ -672,9 +697,8 @@ def _window_cells(
     shortest cell, to the last float below ``x1``: the first grid point of
     each cell is kept.  Rounding can step over a cell, so the rule runs again
     on the float after each cell that the next cell does not start at, or
-    that falls short of ``x1``, until no gap is left.  A mirrored cell holds
-    its upper end but not its lower one, so its floats begin and end one ulp
-    above its ends.
+    that falls short of ``x1``, until no gap is left; a cell's first float
+    comes from :func:`_first_float`.
     """
     s, x0, x1, n = _checked_window(spec, s, x0, x1)
     grid = x0 + (x1 - x0) / n * np.arange(n)
@@ -682,15 +706,9 @@ def _window_cells(
     lo, hi, level = _cells_many(spec, np.full(grid.size, s), grid)
     first = np.append(True, lo[1:] != lo[:-1])
     lo, hi, level = lo[first], hi[first], level[first]
-
-    def first_float(end: np.ndarray) -> np.ndarray:
-        if spec.scheme is not Scheme.BBMRQ:
-            return end
-        return np.where(end < 0.0, np.nextafter(end, np.inf), end)
-
     while True:
-        after = first_float(hi)
-        gap = np.flatnonzero(np.append(after[:-1] < first_float(lo[1:]), hi[-1] < x1))
+        after = _first_float(spec, hi)
+        gap = np.flatnonzero(np.append(after[:-1] < _first_float(spec, lo[1:]), hi[-1] < x1))
         if not gap.size:
             return lo, hi, level
         new = _cells_many(spec, np.full(gap.size, s), after[gap])

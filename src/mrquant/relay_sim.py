@@ -36,6 +36,8 @@ from .quantizers import (
     QuantizerSpec,
     Scheme,
     _checked_window,
+    _first_float,
+    _listing_bounds,
     _split,
     _window_cells,
     quantize,
@@ -129,8 +131,9 @@ def capacity_to_step(
     search refines the partition at step width, longest cells first, to the
     first length L whose cells would exceed k just below it, and returns L
     once ``count_levels`` confirms at most k levels at L and more at the
-    float below.  It raises DomainError where the bisection does, and where
-    the partition at width/(k+1) would exceed the cell budget.
+    float below.  It raises DomainError where a split it needs cannot be
+    resolved in float64, and where the partition at width/(k+1) would exceed
+    the cell budget.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise DomainError(f"capacity must be an integer >= 2, got {k!r}")
@@ -180,50 +183,36 @@ def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
     length L, and nothing else.  Nodes are kept in a heap by float length,
     in positive coordinates with the side of zero they lie on; a child the
     walk of :func:`~mrquant.quantizers.enumerate_cells` would not list is
-    dropped.  The first L whose split partition has more than k cells is
-    the answer, and the count is verified on both sides of it.
+    dropped.  Splitting stops at the first L whose split partition has more
+    than k cells, and the count is verified on both sides of it.
 
-    Splitting goes on down to ``width / (k + 1)``, halved while the count
-    there is at most k, so that it computes every split the bisection's
-    probes compute and raises DomainError where they raise.  It checks the
-    cell budget at that step before any split.
+    It raises DomainError where a split it needs cannot be resolved, and,
+    before any split, where the partition at ``width / (k + 1)`` would
+    exceed the cell budget.
     """
     width = x1 - x0
     lo, hi, _ = _window_cells(spec, width, x0, x1)
     if lo.size > k:
         raise _uncoverable(spec, k, x0, x1)
-    lowest = width / (k + 1)
-    _checked_window(spec, lowest, x0, x1)  # the cell budget, before any splitting
+    _checked_window(spec, width / (k + 1), x0, x1)  # the cell budget, before any splitting
     pows, alpha = spec._powers, spec.alpha
-    # Per side, in positive coordinates, a node [a, b) is listed iff a <= top
-    # and b > bottom: a cell [a, b) iff a < x1 and b > x0, a mirrored cell
-    # (-b, -a] iff -b < x1 and -a >= x0, unless it holds no float (b = 5e-324).
-    bottom_top = ((x0, math.nextafter(x1, -math.inf)), (max(-x1, 5e-324), -x0))
+    bounds = _listing_bounds(x0, x1)
     base = pows.largest_exponent_above(width) + 1  # the base leaf is [0, alpha**base)
-    heap = []
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        side = int(a < 0.0)
-        if side:
-            a, b = -b, -a
-        heap.append((a - b, a, b, side, base))
+    heap = [
+        (a - b, a, b, 0, base) if a >= 0.0 else (a - b, -b, -a, 1, base)
+        for a, b in zip(lo.tolist(), hi.tolist())
+    ]
     heapq.heapify(heap)
     count = len(heap)
-    step = None
-    while True:
+    while count <= k:
         longest = heap[0][2] - heap[0][1]
-        if longest <= lowest:
-            if step is not None:
-                break
-            lowest *= 0.5
-            _checked_window(spec, lowest, x0, x1)
-            continue
         todo = []
         while heap and heap[0][0] <= -longest:
             todo.append(heapq.heappop(heap))
         while todo:
             _, a, b, side, n = todo.pop()
             split = _split(pows, alpha, a, b, n)
-            bottom, top = bottom_top[side]
+            bottom, top = bounds[side]
             count -= 1
             for child in ((a - split, a, split, side, n + 1), (split - b, split, b, side, n)):
                 if child[1] <= top and child[2] > bottom:
@@ -232,13 +221,11 @@ def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
                         todo.append(child)
                     else:
                         heapq.heappush(heap, child)
-        if step is None and count > k:
-            step = longest
-    if not count_levels(spec, step, x0, x1) <= k < count_levels(
-        spec, math.nextafter(step, -math.inf), x0, x1
+    if not count_levels(spec, longest, x0, x1) <= k < count_levels(
+        spec, math.nextafter(longest, -math.inf), x0, x1
     ):  # pragma: no cover - the refinement counts the cells the listing counts
         raise DomainError("level-count search failed to verify its result")
-    return step
+    return longest
 
 
 def _chain_steps(cfg: RelayChainConfig) -> List[float]:
@@ -300,14 +287,13 @@ def average_chain_error(
     """Mean of |final output - x|^p over the points x of the midpoint grid
     ``x0 + (i + 1/2) * width / grid_size`` on the domain.
 
-    The first hop's cells that hold grid points are listed once; each cell's
-    first point is found by a search on the grid, so a point on a cell end
-    takes the cell that owns it (the upper cell of a lattice or biased-tree
-    end, the lower one of a mirrored ``(lo, hi]`` BBMRQ end).  Later hops
-    requantize the cell levels only, and each point gets the final output
-    of its cell: bit for bit the hop-by-hop output of every point.  The
-    library always uses the default grid; ``grid_size`` stays for callers
-    that check against a smaller one.
+    The first hop's cells that hold grid points are listed once; each cell
+    owns the grid points from the first at or above its first float (see
+    :func:`~mrquant.quantizers._first_float`).  Later hops requantize the
+    cell levels only, and each point gets the final output of its cell: bit
+    for bit the hop-by-hop output of every point.  The library always uses
+    the default grid; ``grid_size`` stays for callers that check against a
+    smaller one.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
@@ -316,10 +302,7 @@ def average_chain_error(
     xs = _midpoint_grid(*cfg.domain, grid_size)
     first, *later = _applied_steps(_chain_steps(cfg))
     lo, _, levels = _window_cells(cfg.spec, first, xs[0], math.nextafter(xs[-1], math.inf))
-    starts = np.searchsorted(xs, lo)
-    if cfg.spec.scheme is Scheme.BBMRQ:  # a mirrored cell (lo, hi] does not own lo
-        mirrored = lo < 0.0
-        starts[mirrored] = np.searchsorted(xs, lo[mirrored], "right")
+    starts = np.searchsorted(xs, _first_float(cfg.spec, lo))
     for s in later:
         if s is not None:
             levels = quantize_many(cfg.spec, s, levels)

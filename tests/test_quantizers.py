@@ -30,6 +30,7 @@ from mrquant import (
     quantize_many,
     tree_interval,
 )
+from mrquant import quantizers
 from mrquant.quantizers import _POW_TABLE_CAP, _AlphaPowers, _midpoint, _window_cells
 
 UNIFORM = QuantizerSpec.uniform()
@@ -664,15 +665,18 @@ class TestQuantizeMany:
             (top, 1.0), (-top, 1.0), (0.0, top), (below_top, below_top), (-below_top, below_top),
             (0.0, bottom), (bottom, bottom), (0.0, math.nextafter(bottom, 0.0)),
             (-0.5 * bottom, 0.5 * bottom), (0.0, 5e-324), (1.0, 5e-324 if alpha < 0.9 else 1e-3),
+            # at 1e15 a float is 0.125 from the next: the descent stalls
+            (1e15, 0.1), (-1e15, 0.05),
         ]
         pairs = [(x, s) for x, s in pairs if s > 0.0]
         levels = []
         for x, s in pairs:
             try:
                 level = quantize(spec, s, x)
-            except DomainError:
-                with pytest.raises(DomainError):
+            except DomainError as scalar:
+                with pytest.raises(DomainError) as vector:
                     quantize_many(spec, s, np.array([x]))
+                assert str(vector.value) == str(scalar)
                 continue
             assert quantize_many(spec, s, np.array([x]))[0] == level
             levels.append((x, s, level))
@@ -682,6 +686,23 @@ class TestQuantizeMany:
             quantize_many(spec, ss, xs)
         xs, ss, ref = np.array(levels).T
         assert quantize_many(spec, ss, xs).tobytes() == ref.tobytes()
+
+    def test_bbmrq_splits_come_from_the_one_split_rule(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return split(*args)
+
+        split = quantizers._split
+        monkeypatch.setattr(quantizers, "_split", counting)
+        xs = np.array([-3.7, 0.01, 0.2, 2.5])
+        ref = np.array([cell_of(BB6, 0.1, float(x)).level for x in xs])
+        calls.clear()
+        assert quantize_many(BB6, 0.1, xs).tobytes() == ref.tobytes()
+        # the base cells' splits, then one array split per level below them
+        assert len(calls) > 1 and all(isinstance(lo, np.ndarray) for lo in calls)
+        assert (calls[0] == 0.0).all() and all((lo > 0.0).all() for lo in calls[1:])
 
     def test_midpoint_of_arrays_matches_floats(self):
         one_ulp = math.nextafter(1.0, 2.0)

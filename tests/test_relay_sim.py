@@ -79,7 +79,9 @@ def applied_steps(cfg, caps):
 def bisected_step(spec, k, x0, x1):
     """The capacity search by bisection on the level count, which every
     scheme once used: the oracle of the BBMRQ search, which must return its
-    step bit for bit or raise DomainError where it raises."""
+    step bit for bit wherever it returns one.  Where a probe below the
+    answer meets a split float64 cannot resolve, the bisection raises
+    DomainError; the refinement, which stops at its answer, may not."""
     width = x1 - x0
     lo = width / (k + 1)
     hi = width
@@ -103,6 +105,12 @@ def search_outcome(search, spec, k, domain):
         return search(spec, k, *domain)
     except DomainError:
         return DomainError
+
+
+def walked_counts(spec, step, domain):
+    """Cells the scalar walk lists at ``step`` and at the float below it."""
+    below = math.nextafter(step, -math.inf)
+    return len(enumerate_cells(spec, step, *domain)), len(enumerate_cells(spec, below, *domain))
 
 
 def fresh_capacity_to_step(spec, k, x0, x1):
@@ -268,23 +276,25 @@ class TestCapacityToStep:
             # The mirrored cell (-(1e15 + 1.75), -(1e15 + 0.875)] holds x1, not a
             # float of the window, but the walk lists it: it starts below x1.
             (0.6, 12, (-1000000000000005.6, -1000000000000001.6), 0.625),
-            # The bisection probes width/(k+1), which splits nodes of 2 to 4
-            # ulps that alpha = 0.9 cannot resolve, though the smallest step
-            # with at most k levels lies above them (1.0 for the first).
-            (0.9, 7, (1000000000000002.1, 1000000000000006.1), DomainError),
-            (0.9, 44, (-1000000000000028.9, -1000000000000008.0), DomainError),
+            # The bisection raises on both: it probes width/(k+1), which splits
+            # nodes of 2 to 4 ulps that alpha = 0.9 cannot resolve.  The
+            # refinement stops at its answer, above those nodes.
+            (0.9, 7, (1000000000000002.1, 1000000000000006.1), 1.0),
+            (0.9, 44, (-1000000000000028.9, -1000000000000008.0), 1.625),
         ],
     )
     def test_bbmrq_search_far_from_zero(self, alpha, k, domain, expected):
         spec = ORACLE_SPECS[(0.51, 0.6, 0.74, 0.3, 0.9).index(alpha)]
-        assert search_outcome(bisected_step, spec, k, domain) == expected
+        assert search_outcome(bisected_step, spec, k, domain) == (expected if alpha < 0.9 else DomainError)
         assert search_outcome(fresh_capacity_to_step, spec, k, domain) == expected
+        # the scalar walk's cell counts at the step and at the float below it bracket k
+        assert walked_counts(spec, expected, domain) == {12: (9, 13), 7: (7, 10), 44: (39, 47)}[k]
 
-    def test_bbmrq_search_raises_where_the_bisection_raises_at_1e15(self):
-        # At 1e15 a float is 0.125 from the next, so most of these domains
+    def test_bbmrq_search_at_1e15_keeps_the_bisections_steps(self):
+        # At 1e15 a float is 0.125 from the next, so many of these domains
         # hold too few floats, or too few resolvable splits, for k levels.
         rng = np.random.default_rng(1015)
-        raised = 0
+        bisected = returned = 0
         for i in range(40):
             spec = ORACLE_SPECS[i % len(ORACLE_SPECS)]
             width = 10.0 ** rng.uniform(-1.0, 1.5)
@@ -292,9 +302,15 @@ class TestCapacityToStep:
             domain = (x0, x0 + width) if i % 2 else (-x0 - width, -x0)
             k = int(rng.integers(2, 65))
             expected = search_outcome(bisected_step, spec, k, domain)
-            assert search_outcome(fresh_capacity_to_step, spec, k, domain) == expected, (spec, k, domain)
-            raised += expected is DomainError
-        assert 10 <= raised < 40
+            step = search_outcome(fresh_capacity_to_step, spec, k, domain)
+            if expected is not DomainError:
+                assert step == expected, (spec, k, domain)
+            elif step is not DomainError:
+                at, below = walked_counts(spec, step, domain)
+                assert at <= k < below, (spec, k, domain)
+            bisected += expected is not DomainError
+            returned += step is not DomainError
+        assert (bisected, returned) == (14, 20)
 
     def test_bbmrq_capacity_above_the_cell_budget_raises_before_splitting(self, monkeypatch):
         # count_levels counts such a window by size class, but the search
