@@ -27,6 +27,7 @@ from typing import List, NamedTuple, Optional, Set, Tuple, Union
 import numpy as np
 
 from .quantizers import (
+    _BLOCK,
     _MAX_CELLS,
     DomainError,
     QuantizerSpec,
@@ -599,19 +600,11 @@ def levy_distance(F, G, tol: float = 1e-4) -> float:
 # Renyi rates
 
 
-def _renyi_from_atoms(sizes: np.ndarray, masses: np.ndarray, eta: float) -> float:
-    if eta == 1.0:
-        return float(-(masses @ np.log2(sizes)))
-    d = eta - 1.0
-    # work with integral - 1 = sum m * expm1(d * ln gamma); this keeps the
-    # log2(integral)/(1 - eta) quotient accurate as eta approaches 1
-    with np.errstate(over="ignore"):
-        im1 = float(masses @ np.expm1(d * np.log(sizes)))
-    if math.isinf(im1):
-        return math.inf
-    if im1 <= -1.0:
-        raise DomainError("degenerate size distribution")
-    return -math.log1p(im1) * LOG2E / d
+def _expm1_excess(x: float) -> float:
+    """``(expm1(x) - x) / x``, from its series ``sum x^k / (k+1)!`` if ``|x| < 1/2``."""
+    if abs(x) < 0.5:
+        return sum(x**k / math.factorial(k + 1) for k in range(17, 0, -1))
+    return (math.expm1(x) - x) / x
 
 
 def renyi_rate(F: CdfLike, eta: float) -> float:
@@ -623,37 +616,35 @@ def renyi_rate(F: CdfLike, eta: float) -> float:
     analytic limit), general ``eta`` interpolates.  A divergent integral is
     reported as ``math.inf``.
 
-    The formulas have a removable singularity at ``eta = 1``; values within
-    1e-8 of 1 are evaluated as the limit, since closer than that the direct
-    expression loses its accuracy to cancellation.
+    The rate is ``-log2(I) / (eta - 1)`` for the integral ``I`` of
+    ``gamma^(eta-1) dF``.  Near ``eta = 1`` both vanish, so ``I - 1`` is
+    computed without taking the difference.
     """
     if not (isinstance(eta, (int, float)) and math.isfinite(eta)) or eta < 0.0:
         raise DomainError(f"eta must be a nonnegative finite real, got {eta!r}")
-    eta = float(eta)
-    if abs(eta - 1.0) < 1e-8:
-        eta = 1.0
-    if isinstance(F, StepCdf):
-        return _renyi_from_atoms(F.breakpoints, F.masses, eta)
+    d = float(eta) - 1.0
     if isinstance(F, TwoPowUnifCdf):
-        if eta == 1.0:
-            return 0.5
-        d = eta - 1.0
-        # integral of gamma^(eta-1) dF = log2(e) * (1 - 2^(-d)) / d
-        im1 = LOG2E * (-math.expm1(-d * math.log(2.0)) / d) - 1.0
-        return -math.log1p(im1) * LOG2E / d
-    if isinstance(F, BiasAlphaCdf):
-        a = F.alpha
-        h = F.split_entropy
-        if eta == 0.0:
-            return math.log2(LOG2E / h)
-        if eta == 1.0:
+        F = BiasAlphaCdf(0.5)  # the law of 2**U is the even split's
+    if isinstance(F, StepCdf):
+        if d == 0.0:
+            return float(-(F.masses @ np.log2(F.breakpoints)))
+        with np.errstate(over="ignore"):  # I - 1 = sum m expm1(d ln gamma)
+            im1 = float(F.masses @ np.expm1(d * np.log(F.breakpoints)))
+        if math.isinf(im1):
+            return math.inf
+        if im1 <= -1.0:
+            raise DomainError("degenerate size distribution")
+    elif isinstance(F, BiasAlphaCdf):
+        a, h = F.alpha, F.split_entropy
+        if d == 0.0:
             return (a * math.log2(a) ** 2 + (1.0 - a) * math.log2(1.0 - a) ** 2) / (2.0 * h)
-        d = eta - 1.0
-        # integral = (log2 e / H) * (a (1 - a^d) + (1-a)(1 - (1-a)^d)) / d
-        t = (-a * math.expm1(d * math.log(a)) - (1.0 - a) * math.expm1(d * math.log1p(-a))) / d
-        im1 = LOG2E / h * t - 1.0
-        return -math.log1p(im1) * LOG2E / d
-    raise DomainError(f"unsupported cdf object: {F!r}")
+        # I = (log2 e / H) sum p (1 - p^d) / d over p in {a, 1 - a}; as H is
+        # -log2(e) sum p ln p, I - 1 = -(log2 e / H) sum p ln p g(d ln p)
+        logs = ((a, math.log(a)), (1.0 - a, math.log1p(-a)))
+        im1 = -LOG2E / h * sum(p * ln * _expm1_excess(d * ln) for p, ln in logs)
+    else:
+        raise DomainError(f"unsupported cdf object: {F!r}")
+    return -math.log1p(im1) * LOG2E / d
 
 
 def scale_shift_rate(rate_at_unit_step: float, s: float) -> float:
@@ -704,8 +695,8 @@ def _lattice_count(
     level-m cells that :func:`~mrquant.quantizers._dyadic_level` merges is
     one cell, so each merged pair wholly inside that range counts once.  The
     rule sees the pairs' exact starts, so no pair index underflows to -0.0.
-    It sees them a block at a time, and more than
-    :data:`~mrquant.quantizers._MAX_CELLS` pairs raise DomainError.
+    It sees them :data:`~mrquant.quantizers._BLOCK` pairs at a time, and
+    more than :data:`~mrquant.quantizers._MAX_CELLS` pairs raise DomainError.
     """
     m = math.frexp(s)[1] - 1
     w = s if spec.scheme is Scheme.SIMPLE_UNIFORM else math.ldexp(1.0, m)
@@ -720,8 +711,8 @@ def _lattice_count(
     if stop - first > _MAX_CELLS:
         raise DomainError(f"counting [{x0}, {x1}) at step {s} would test over {_MAX_CELLS} pairs")
     merged = 0
-    for start in range(first, stop, 1 << 16):
-        pairs = np.arange(start, min(start + (1 << 16), stop), dtype=np.float64)
+    for start in range(first, stop, _BLOCK):
+        pairs = np.arange(start, min(start + _BLOCK, stop), dtype=np.float64)
         levels = _dyadic_level(spec, np.full(pairs.size, s), np.ldexp(pairs, m + 1))
         merged += int(np.count_nonzero(levels > m))
     return j1 - j0 + 1 - merged, merged

@@ -33,7 +33,9 @@ place too: :func:`_listing_bounds` and :func:`_first_float`.
 The scalar rule :func:`cell_of` and the vector rule :func:`_cells_many` give the
 same cells bit for bit.  The vector rule serves :func:`quantize_many` and
 :func:`_window_cells`, the window listing the analysis layer reads without a
-:class:`Cell` per cell; :func:`enumerate_cells` is its scalar oracle.
+:class:`Cell` per cell; :func:`enumerate_cells` is its scalar oracle.  It runs
+in cache-sized blocks, which keeps every bit: each output element depends
+only on its own input and step.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ _POW_TABLE_CAP = 300_000
 # one.  The kernel counts whole subtrees by size class, so this does not
 # bound the windows it can count.
 _MAX_CELLS = 20_000_000
+
+_BLOCK = 1 << 14  # elements per block of the vector cell rule; its temporaries stay in L2
 
 
 class DomainError(ValueError):
@@ -553,16 +557,29 @@ def _cells_many(
     of the nodes, all off zero, still descending.  A negative ``x`` gets the
     mirror image of its positive cell, whose level is the negated midpoint
     of that cell.
+
+    Longer inputs run a block of :data:`_BLOCK` elements at a time, which
+    keeps every bit, as each element depends only on its own input and step.
+    Of several failing elements, one in the first block holding any raises.
     """
+    if x.size > _BLOCK:
+        cells = np.empty((3, x.size))
+        for i in range(0, x.size, _BLOCK):
+            cells[:, i : i + _BLOCK] = _cells_many(spec, s[i : i + _BLOCK], x[i : i + _BLOCK])
+        return cells[0], cells[1], cells[2]
     if spec.scheme is not Scheme.BBMRQ:
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.scheme is Scheme.SIMPLE_UNIFORM:
-                j = np.floor(x / s)
-                lo, hi = j * s, (j + 1.0) * s
+                j = x / s
+                np.floor(j, out=j)
+                lo, hi = j * s, j + 1.0
+                hi *= s
             else:
                 m = _dyadic_level(spec, s, x)
-                j = np.floor(np.ldexp(x, -m))
-                lo, hi = np.ldexp(j, m), np.ldexp(j + 1.0, m)
+                j = np.ldexp(x, -m)
+                np.floor(j, out=j)
+                lo, hi = np.ldexp(j, m), j + 1.0
+                np.ldexp(hi, m, out=hi)
             mid = _midpoint(lo, hi)
         ok = (np.abs(j) < 2.0 ** 53) & (-np.inf < lo) & (lo <= x) & (x < hi) & (hi < np.inf)
         for i in np.flatnonzero(~ok):
@@ -605,15 +622,26 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
     """Vectorized :func:`quantize`; ``s`` may be a scalar or match ``x``.
 
     Matches the scalar implementation bit for bit (both run the same float64
-    expressions, element by element).
+    expressions, element by element).  Non-numeric arguments, then bad
+    inputs, steps and shapes, raise DomainError in that order.
     """
-    x = np.asarray(x, dtype=np.float64)
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), x.shape)
+    try:
+        x, s = np.asarray(x, dtype=np.float64), np.asarray(s, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DomainError(f"inputs and step bounds must be finite reals ({e})") from None
     if not np.isfinite(x).all():
-        raise DomainError("inputs must be finite")
+        raise DomainError("inputs must be finite reals")
     if not np.isfinite(s).all() or (s <= 0.0).any():
         raise DomainError("step bounds must be positive finite reals")
-    return _cells_many(spec, s.ravel(), x.ravel())[2].reshape(x.shape)
+    try:
+        steps = np.broadcast_to(s, x.shape).reshape(-1)  # a view where s is a scalar
+    except ValueError:
+        raise DomainError(f"steps of shape {s.shape} do not broadcast to inputs of shape {x.shape}") from None
+    # only the levels are kept, so no lo and hi arrays as long as x are made
+    flat, level = x.ravel(), np.empty(x.size)
+    for i in range(0, x.size, _BLOCK):
+        level[i : i + _BLOCK] = _cells_many(spec, steps[i : i + _BLOCK], flat[i : i + _BLOCK])[2]
+    return level.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +731,7 @@ def _window_cells(
     s, x0, x1, n = _checked_window(spec, s, x0, x1)
     grid = x0 + (x1 - x0) / n * np.arange(n)
     grid = np.append(grid[grid < x1], math.nextafter(x1, -math.inf))
-    lo, hi, level = _cells_many(spec, np.full(grid.size, s), grid)
+    lo, hi, level = _cells_many(spec, np.broadcast_to(s, grid.shape), grid)
     first = np.append(True, lo[1:] != lo[:-1])
     lo, hi, level = lo[first], hi[first], level[first]
     while True:

@@ -438,14 +438,19 @@ class TestRenyiRates:
             )
             assert renyi_rate(cdf, 1.0) == pytest.approx(shannon, abs=1e-9)
 
-    @pytest.mark.parametrize("alpha", [0.5 + 1e-8, 0.5 + 1e-4, 0.6, 0.74])
-    @pytest.mark.parametrize("eta", [0.0, 1.0 - 1e-7, 1.0 + 1e-6, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.5 + 1e-8, 0.5 + 1e-4, 0.6, 0.74, 0.3])
+    @pytest.mark.parametrize(
+        "eta",
+        [0.0, 0.5, 0.999, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2e-8, 1.0 + 3e-8, 1.0 - 1e-7, 1.0 + 1e-7]
+        + [1.0 + 1e-6, 1.0 + 1e-5, 2.0, 3.0, 7.0],
+    )
     def test_bias_rates_against_50_digits(self, alpha, eta):
-        # Near alpha = 1/2 and eta = 1 the float formula cancels; the worst
-        # relative error measured on this grid is 4.7e-9, at
-        # (0.5 + 1e-8, 1 - 1e-7).  The oracle integrates gamma^(eta - 1)
+        # Near eta = 1 the integral is within |eta - 1| of 1, and the rate
+        # comes from the integral minus 1; alpha = 1/2 stands for
+        # TwoPowUnifCdf, the same law.  The oracle integrates gamma^(eta - 1)
         # against the density's two pieces, (log2 e / H) min(a, 1 - a) / x
         # below max(a, 1 - a) and (log2 e / H) / x above it.
+        law = TwoPowUnifCdf() if alpha == 0.5 else BiasAlphaCdf(alpha)
         with mpmath.workdps(50):
             a, e = mpmath.mpf(alpha), mpmath.mpf(eta)
             lo, mid = sorted((a, 1 - a))
@@ -454,7 +459,7 @@ class TestRenyiRates:
                 lambda x: scale * x ** (e - 2), [mid, 1]
             )
             want = mpmath.log(integral, 2) / (1 - e)
-            assert abs(renyi_rate(BiasAlphaCdf(alpha), eta) - want) <= 1e-8 * abs(want)
+            assert abs(renyi_rate(law, eta) - want) <= 1e-14 * abs(want)
 
     def test_single_atom_is_rate_free(self):
         F = StepCdf(np.array([1.0]), np.array([1.0]))

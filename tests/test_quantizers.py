@@ -7,6 +7,8 @@ discrepancy left is float rounding inside the library.
 """
 
 import math
+import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -31,7 +33,14 @@ from mrquant import (
     tree_interval,
 )
 from mrquant import quantizers
-from mrquant.quantizers import _POW_TABLE_CAP, _AlphaPowers, _midpoint, _window_cells
+from mrquant.quantizers import (
+    _BLOCK,
+    _POW_TABLE_CAP,
+    _AlphaPowers,
+    _cells_many,
+    _midpoint,
+    _window_cells,
+)
 
 UNIFORM = QuantizerSpec.uniform()
 BMRQ = QuantizerSpec.bmrq()
@@ -41,6 +50,7 @@ BB74 = QuantizerSpec.bbmrq(0.74)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", UserWarning)
     BB3 = QuantizerSpec.bbmrq(0.3, nonstandard_alpha=True)
+    BB999 = QuantizerSpec.bbmrq(0.999, nonstandard_alpha=True)
 WINDOW_SPECS = {
     "uniform": UNIFORM,
     "bmrq": BMRQ,
@@ -720,6 +730,121 @@ class TestQuantizeMany:
             quantize_many(BMRQ, -1.0, np.array([0.5]))
         with pytest.raises(DomainError):
             quantize_many(BMRQ, 1.0, np.array([np.nan]))
+
+    def test_argument_errors_are_domain_errors(self):
+        numbers = "^inputs and step bounds must be finite reals "
+        inputs, steps = "^inputs must be finite reals$", "^step bounds must be positive finite reals$"
+        cases = [
+            (1.0, "a", numbers),
+            (1.0, [1.0, "a"], numbers),
+            (1.0, {}, numbers),
+            (1.0, [[1.0], [1.0, 2.0]], numbers),
+            ("a", 1.0, numbers),
+            (1.0, [1, 10**400], numbers),  # an int past float64
+            (10**400, 1.0, numbers),
+            ([0.5, None], [1.0, 2.0], steps),  # None converts to nan
+            (np.ones(3), np.ones(4), "do not broadcast"),
+            (np.ones((2, 1)), np.ones(3), "do not broadcast"),
+            # inputs are checked first, then steps, then shapes
+            (0.0, [np.nan], inputs),
+            (np.zeros(3), np.ones(4), steps),
+        ]
+        for s, x, message in cases:
+            with pytest.raises(DomainError, match=message):
+                quantize_many(BMRQ, s, x)
+        with pytest.raises(ValueError):  # what callers catching numpy's error still see
+            quantize_many(BMRQ, np.ones(3), np.ones(4))
+
+
+BLOCK_SPECS = {"uniform": UNIFORM, "bmrq": BMRQ, "dbmrq": DBMRQ, "bbmrq0.6": BB6, "bbmrq0.999": BB999}
+# Inputs the scalar path repairs in the lattice schemes, as (x, s): an index
+# underflowing to -0.0, zeros of both signs, a subnormal, and a quotient
+# x / s that rounds to just below the index of the cell holding x.
+REPAIRED = [
+    (-5e-324, 2.0),
+    (0.0, 0.5),
+    (-0.0, 0.5),
+    (-3e-310, 1e-3),
+    (646452.5929989826, 1.2667220414021823),
+]
+
+
+class TestBlocks:
+    """The vector rule runs in blocks of ``_BLOCK`` elements; every element
+    comes out as the scalar path gives it, on either side of a block edge."""
+
+    N = 3 * _BLOCK + 7
+    EDGES = [0, _BLOCK - 1, _BLOCK, N - 1]
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_parity_with_scalar_across_blocks(self, name):
+        spec = BLOCK_SPECS[name]
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(-300.0, 300.0, self.N)
+        ss = 10.0 ** rng.uniform(-1.0, 1.0, self.N)
+        cells = np.array([(c.lo, c.hi, c.level) for c in map(cell_of, [spec] * self.N, ss, xs)]).T
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_cells_many(spec, ss, xs), cells))
+        assert quantize_many(spec, ss, xs).tobytes() == cells[2].tobytes()
+        grid = quantize_many(spec, ss.reshape(11, -1), xs.reshape(11, -1))
+        assert grid.shape == (11, self.N // 11) and grid.tobytes() == cells[2].tobytes()
+        for x, s in REPAIRED:
+            xs[self.EDGES], ss[self.EDGES] = x, s
+            cells[2][self.EDGES] = quantize(spec, s, x)
+            assert quantize_many(spec, ss, xs).tobytes() == cells[2].tobytes()
+        # one step over several blocks, checked on every 37th value and the edges
+        some = np.r_[0 : self.N : 37, self.EDGES]
+        broadcast = quantize_many(spec, 0.7, xs.reshape(11, -1)).ravel()[some]
+        assert broadcast.tobytes() == np.array([quantize(spec, 0.7, x) for x in xs[some]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, x, s",
+        [(UNIFORM, 1e308, 1e-10), (BMRQ, 1.0, 5e-324), (DBMRQ, 1e17, 1.0), (BB6, 1e15, 0.1)],
+        ids=["uniform", "bmrq", "dbmrq", "bbmrq"],
+    )
+    def test_a_failing_element_in_the_last_block(self, spec, x, s):
+        xs, ss = np.linspace(-50.0, 50.0, self.N), np.full(self.N, 0.3)
+        xs[-3], ss[-3] = x, s
+        with pytest.raises(DomainError) as scalar:
+            cell_of(spec, s, x)
+        with pytest.raises(DomainError) as vector:
+            quantize_many(spec, ss, xs)
+        assert str(vector.value) == str(scalar.value)
+
+    @pytest.mark.parametrize(
+        "spec, first, later",
+        [
+            (UNIFORM, (1e17, 1.0), (1e308, 1e-10)),
+            (DBMRQ, (1.0, 5e-324), (1e17, 1.0)),
+            # a stalled split, then a step past the power table
+            (BB6, (1e15, 0.1), (0.5, BB6._powers.pow(BB6._powers.n_min))),
+        ],
+        ids=["uniform", "dbmrq", "bbmrq"],
+    )
+    def test_the_first_block_with_a_failing_element_names_it(self, spec, first, later):
+        xs, ss = np.linspace(-50.0, 50.0, self.N), np.full(self.N, 0.3)
+        (xs[_BLOCK + 5], ss[_BLOCK + 5]), (xs[2 * _BLOCK + 1], ss[2 * _BLOCK + 1]) = first, later
+        messages = []
+        for x, s in (first, later):
+            with pytest.raises(DomainError) as scalar:
+                cell_of(spec, s, x)
+            messages.append(str(scalar.value))
+        assert messages[0] != messages[1]
+        with pytest.raises(DomainError, match=f"^{re.escape(messages[0])}$"):
+            quantize_many(spec, ss, xs)
+
+    @pytest.mark.parametrize("spec", [UNIFORM, BMRQ, DBMRQ, BB6], ids=lambda s: s.scheme.value)
+    def test_no_temporaries_as_long_as_the_input(self, spec):
+        rng = np.random.default_rng(22)
+        xs = rng.uniform(-20.0, 120.0, 1 << 20)
+        ss = 10.0 ** rng.uniform(-1.0, 1.0, xs.size)
+        tracemalloc.start()
+        try:
+            out = quantize_many(spec, ss, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus temporaries a few dozen blocks long at most
+        assert peak <= out.nbytes + 32 * _BLOCK * 8
 
 
 class TestFloat64Edges:
