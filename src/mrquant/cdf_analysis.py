@@ -11,9 +11,9 @@ Closed forms provided:
 
 * :class:`BiasAlphaCdf` -- stationary size law of the biased tree, supported
   on ``[1 - alpha, 1]`` (sizes relative to ``s = 1``).
-* :class:`TwoPowUnifCdf` -- the law of ``2**U`` with ``U`` uniform on
+* :func:`TwoPowUnifCdf` -- the law of ``2**U`` with ``U`` uniform on
   ``[-1, 0]``; the size law shared by BMRQ under log-uniform step placement
-  and DBMRQ averaged over its octave.
+  and DBMRQ averaged over its octave.  It is ``BiasAlphaCdf(0.5)``.
 * :func:`DbmrqAtomsCdf` -- the exact two-atom law of DBMRQ at a fixed step,
   as a :class:`StepCdf`.
 """
@@ -144,41 +144,15 @@ class BiasAlphaCdf:
 
     cdf_left = cdf  # continuous
 
-    def pdf(self, x) -> np.ndarray:
-        a = self.alpha
-        h = self.split_entropy
-        x = np.asarray(x, dtype=np.float64)
-        safe = np.maximum(x, 1e-300)
-        piece = a * ((a <= x) & (x < 1.0)) + (1.0 - a) * (((1.0 - a) <= x) & (x < 1.0))
-        return (LOG2E / h) * piece / safe
-
     def kinks(self) -> np.ndarray:
         a = self.alpha
         return np.unique([min(a, 1.0 - a), max(a, 1.0 - a), 1.0])
 
 
-@dataclass(frozen=True)
-class TwoPowUnifCdf:
-    """Law of ``2**U`` for ``U`` uniform on ``[-1, 0]``: F(x) = log2(x) + 1."""
-
-    @property
-    def support(self) -> Tuple[float, float]:
-        return 0.5, 1.0
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        safe = np.maximum(x, 1e-300)
-        return np.where(x <= 0.0, 0.0, np.clip(np.log2(safe) + 1.0, 0.0, 1.0))
-
-    cdf_left = cdf
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        safe = np.maximum(x, 1e-300)
-        return np.where((0.5 <= x) & (x < 1.0), LOG2E / safe, 0.0)
-
-    def kinks(self) -> np.ndarray:
-        return np.array([0.5, 1.0])
+def TwoPowUnifCdf() -> BiasAlphaCdf:  # noqa: N802 - the law's long-standing name
+    """Law of ``2**U`` for ``U`` uniform on ``[-1, 0]``, F(x) = log2(x) + 1:
+    the biased tree's law at ``alpha = 1/2``."""
+    return BiasAlphaCdf(0.5)
 
 
 def DbmrqAtomsCdf(s: float) -> StepCdf:  # noqa: N802 - the law's long-standing name
@@ -206,7 +180,7 @@ def _lattice_law(spec: QuantizerSpec, s: float) -> StepCdf:
     return StepCdf(np.array([atom]), np.array([1.0]))
 
 
-CdfLike = Union[StepCdf, BiasAlphaCdf, TwoPowUnifCdf]
+CdfLike = Union[StepCdf, BiasAlphaCdf]
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +192,11 @@ class _Window(NamedTuple):
 
     ``counts[i]`` cells of length ``sizes[i]`` lie wholly inside the window;
     each is listed and holds a piece of its full length.  The cells in
-    ``lo``, ``hi`` and ``level`` were handled one by one, unclipped, with
-    ``listed`` telling whether the walk of
+    ``lo``, ``hi`` and ``level`` are given one by one, as arrays,
+    unclipped, with ``listed`` telling whether the walk of
     :func:`~mrquant.quantizers.enumerate_cells` lists each: the cells that
-    the window's ends cut, and any cell a class table could not settle.
+    the window's ends cut, and the leaves of the nodes no class table
+    settled.
     """
 
     sizes: np.ndarray
@@ -247,7 +222,9 @@ def _window_kernel(
       length, within ``2 ulp(max(|x0|, |x1|))`` of each.  Where
       :func:`_lattice_count` cannot count them, the window is listed by
       :func:`~mrquant.quantizers._window_cells`.
-    * BBMRQ: see :func:`_biased_side`, one call per side of zero.
+    * BBMRQ: see :func:`_biased_side`, one call per side of zero: a scalar
+      walk of the boundary paths, and class tables and array walks
+      (:func:`_inside_leaves`) for the nodes inside the window.
 
     A class size is the real length of its cells, computed from the length
     of a node; it is within :func:`_class_table`'s margin of each cell's
@@ -290,137 +267,136 @@ def _lattice_window(
 
 
 def _biased_window(spec: QuantizerSpec, s: float, x0: float, x1: float) -> _Window:
-    """The BBMRQ kernel: each side of zero in positive coordinates, with
-    the cells listed as :func:`~mrquant.quantizers._listing_bounds` says.
-    Pieces of positive length are kept for the functionals whether listed
-    or not.
-    """
-    sizes: List[float] = []
-    counts: List[int] = []
-    sides = []
-    visits = 0
+    """The BBMRQ kernel per side of zero, in positive coordinates: the cells
+    :func:`~mrquant.quantizers._listing_bounds` lists, and unlisted pieces of positive length."""
+    sizes, counts, parts, visits = [], [], [], 0
     pos, neg = _listing_bounds(x0, x1)
     if x1 > 0.0:
-        visits, cells = _biased_side(spec, s, (max(x0, 0.0), x1, *pos), sizes, counts, visits)
-        sides.append((1.0, cells))
+        visits, lo, hi, listed = _biased_side(spec, s, (max(x0, 0.0), x1, *pos), sizes, counts, visits)
+        parts.append((lo, hi, _midpoint(lo, hi), listed))
     if x0 < 0.0:
-        visits, cells = _biased_side(spec, s, (max(-x1, 0.0), -x0, *neg), sizes, counts, visits)
-        sides.append((-1.0, cells))
-    parts = []
-    for sign, cells in sides:
-        lo, hi, listed = np.array(cells, dtype=np.float64).reshape(-1, 3).T
-        mid = sign * _midpoint(lo, hi)
-        parts.append((lo, hi, mid, listed > 0.0) if sign > 0.0 else (-hi, -lo, mid, listed > 0.0))
-    return _Window(
-        np.array(sizes), np.array(counts, dtype=np.int64),
-        *(np.concatenate(column) for column in zip(*parts)),
-    )
+        visits, lo, hi, listed = _biased_side(spec, s, (max(-x1, 0.0), -x0, *neg), sizes, counts, visits)
+        parts.append((-hi, -lo, -_midpoint(lo, hi), listed))
+    return _Window(np.array(sizes), np.array(counts, dtype=np.int64), *map(np.concatenate, zip(*parts)))
 
 
 def _biased_side(
-    spec: QuantizerSpec,
-    s: float,
-    bounds: Tuple[float, float, float, float],
-    sizes: List[float],
-    counts: List[int],
-    visits: int,
-) -> Tuple[int, List[Tuple[float, float, bool]]]:
-    """One side of zero, in positive coordinates; returns the nodes visited
-    so far and the side's cells handled one by one, as ``(lo, hi, listed)``.
-
-    ``bounds`` is ``(z0, z1, bottom, top)``: the side covers ``[z0, z1]``,
-    and a cell ``[lo, hi)`` is listed iff ``lo <= top`` and ``hi > bottom``.
-    The walk starts at the base cell that holds ``[0, top]`` and splits a
-    node with :func:`~mrquant.quantizers._split` unless it is a leaf (float
-    length at most ``s``) or lies wholly in ``[z0, z1]``, off zero, with
-    more leaves than its class table has classes, about ``2 + log(l / s) *
-    (1 / log(1 / a) + 1 / log(1 / b))`` for a node of length ``l``.  Then
-    :func:`_class_table` counts its leaves, except the nodes of classes too
-    near ``s`` for their real length to decide them: the walk goes down to
-    those alone and handles them as it handles any node.  So only the
-    boundary paths at ``z0`` and ``z1``, the base chain, nodes of few leaves
-    and the undecided classes are walked, those last after the rest, so
-    that more than :data:`~mrquant.quantizers._MAX_CELLS` nodes to walk
-    raise DomainError before the walk.
-    """
+    spec: QuantizerSpec, s: float, bounds: Tuple[float, float, float, float],
+    sizes: List[float], counts: List[int], visits: int,
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """One side of zero in positive coordinates, ``bounds = (z0, z1, bottom,
+    top)``: ``(visits, lo, hi, listed)``, the nodes visited so far and the
+    cells of ``[z0, z1]`` one by one, listed iff ``lo <= top`` and ``hi >
+    bottom``.  A scalar walk from the base cell over ``[0, top]`` splits all
+    but the leaves (float length at most ``s``) and the nodes in ``[z0,
+    z1]``, off zero, worth a table, which go to :func:`_inside_leaves`."""
     z0, z1, bottom, top = bounds
     pows, alpha = spec._powers, spec.alpha
-    classes_per_log = -1.0 / math.log(alpha) - 1.0 / math.log1p(-alpha)
+    per_log = -1.0 / math.log(alpha) - 1.0 / math.log1p(-alpha)
     n = pows.largest_exponent_above(max(top, s))
-    stack = [(0.0, pows.pow(n), n)]
-    cells = []
-    walks, ahead = [], 0  # nodes with undecided classes, and the nodes their walks may visit
-    while stack or walks:
-        if not stack:
-            if visits + ahead > _MAX_CELLS:
-                raise _walk_exceeded(s)
-            for node, undecided in walks:
-                visits = _walk_to_classes(pows, alpha, node, undecided, stack, visits)
-            walks, ahead = [], 0
-            continue
+    stack, cells, inside = [(0.0, pows.pow(n), n)], [], []
+    while stack:
         visits += 1
         if visits > _MAX_CELLS:
-            raise _walk_exceeded(s)
+            _budget(s, visits)  # raises
         lo, hi, n = stack.pop()
         if hi - lo <= s:
             cells.append((lo, hi, lo <= top and hi > bottom))
-            continue
-        ratio = (hi - lo) / s
-        if 0.0 < lo and z0 <= lo and hi <= z1 and ratio > classes_per_log * math.log(ratio) + 2.0:
-            table = _class_table(pows, alpha, s, lo, hi)
-            if table is not None:
-                leaf_sizes, leaf_counts, undecided = table
-                sizes.extend(leaf_sizes)
-                counts.extend(leaf_counts)
-                if undecided:
-                    walks.append(((lo, hi, n), undecided))
-                    # the classes (i', j') <= (i, j) hold the nodes on the way
-                    ahead += sum(math.comb(i + j + 2, i + 1) - 1 for i, j in undecided)
+        elif 0.0 < lo and z0 <= lo and hi <= z1 and _worth_a_table((hi - lo) / s, per_log):
+            inside.append((lo, hi))
+        else:
+            split = _split(pows, alpha, lo, hi, n)
+            if split > z0:
+                stack.append((lo, split, n + 1))
+            if split <= top:
+                stack.append((split, hi, n))
+    lo, hi, listed = np.array(cells, dtype=np.float64).reshape(-1, 3).T
+    visits, leaves = _inside_leaves(pows, alpha, s, per_log, inside, sizes, counts, visits)
+    if leaves:  # all listed
+        lo, hi = (np.concatenate((ends, *more)) for ends, more in zip((lo, hi), zip(*leaves)))
+        listed = np.append(listed, np.ones(lo.size - listed.size))
+    return visits, lo, hi, listed > 0.0
+
+
+def _worth_a_table(ratio, per_log: float):
+    """Whether a node ``ratio`` steps long has more leaves than its class table
+    has classes, about ``2 + per_log log(ratio)``; a float, or elementwise."""
+    return ratio > per_log * (np.log if isinstance(ratio, np.ndarray) else math.log)(ratio) + 2.0
+
+
+def _budget(s: float, nodes: float) -> float:
+    """``nodes``, or DomainError where they pass the cell budget."""
+    if nodes > _MAX_CELLS:
+        raise DomainError(f"counting the cells at step {s} would walk more than {_MAX_CELLS} tree nodes")
+    return nodes
+
+
+def _inside_leaves(
+    pows: _AlphaPowers, alpha: float, s: float, per_log: float, nodes: List[Tuple[float, float]],
+    sizes: List[float], counts: List[int], visits: int,
+) -> Tuple[int, List[Tuple[np.ndarray, np.ndarray]]]:
+    """``(visits, leaves)``: the leaves no :func:`_class_table` counts below
+    the visited ``nodes``, all inside a side, off zero, worth a table, as
+    ``(lo, hi)`` arrays.
+    Refused tables' nodes are split as arrays, a level at a time, their
+    children tried for tables in turn, then walks go down to undecided
+    classes' nodes, split alike; a walk that may pass the budget raises
+    first.  Past ``far`` every table is refused, as the ``2**-52 hi / min(a,
+    b)`` in its margin alone passes the bound: a refused node holds a leaf
+    per ``s (1 + 2**-52)`` past ``far``, and ``N`` leaves ``2 N - 1`` nodes.
+    """
+    short = min(alpha, 1.0 - alpha)
+    far = 2.0 ** 52 * short * (s * short / (2.0 - short) + 2.0 ** -1074) * (1.0 + 2.0 ** -40)
+    lo = hi = np.empty(0)  # visited nodes to split
+    leaves, walks, ahead = [], [], 0  # ahead: the nodes the walks to undecided classes may visit
+    while True:
+        refused = []
+        for node in nodes:
+            table = _class_table(pows, alpha, s, *node)
+            if table is None:
+                refused.append(node)
                 continue
-        split = _split(pows, alpha, lo, hi, n)
-        if split > z0:
-            stack.append((lo, split, n + 1))
-        if split <= top:
-            stack.append((split, hi, n))
-    return visits, cells
-
-
-def _walk_exceeded(s: float) -> DomainError:
-    return DomainError(
-        f"counting the cells at step {s} would walk more than {_MAX_CELLS} tree nodes one by one"
-    )
-
-
-def _walk_to_classes(
-    pows: _AlphaPowers,
-    alpha: float,
-    node: Tuple[float, float, int],
-    undecided: Set[Tuple[int, int]],
-    stack: List[Tuple[float, float, int]],
-    visits: int,
-) -> int:
-    """Walk from ``node`` down to the nodes of the ``undecided`` classes
-    ``(i, j)`` and push those on ``stack``; returns the nodes visited.  The
-    nodes on the way are internal, as their classes are decided."""
-    reach = [-1] * (max(i for i, _ in undecided) + 2)  # reach[i]: largest j of a class (i' >= i, j)
-    for i, j in undecided:
-        reach[i] = max(reach[i], j)
-    for i in range(len(reach) - 2, -1, -1):
-        reach[i] = max(reach[i], reach[i + 1])
-    lo, hi, n = node
-    path = [(lo, hi, n, 0, 0)]
-    while path:
-        lo, hi, n, i, j = path.pop()
-        if (i, j) in undecided:
-            stack.append((lo, hi, n))
-            continue
-        visits += 1
-        split = _split(pows, alpha, lo, hi, n)
-        if reach[i + 1] >= j:
-            path.append((lo, split, n + 1, i + 1, j))
-        if reach[i] > j:
-            path.append((split, hi, n, i, j + 1))
-    return visits
+            sizes.extend(table[0])
+            counts.extend(table[1])
+            if table[2]:  # the classes (i', j') <= (i, j) hold the nodes on the way
+                walks.append((*node, table[2]))
+                ahead += sum(math.comb(i + j + 2, i + 1) - 1 for i, j in table[2])
+        if refused:
+            past = math.fsum(max(0.0, b - max(a, far)) for a, b in refused) * (1.0 - 2.0 ** -50)
+            _budget(s, visits + ahead + 2.0 * past / (s * (1.0 + 2.0 ** -52) + 2.0 ** -1074) - 2 * len(refused))
+            lo, hi = np.append(lo, [a for a, _ in refused]), np.append(hi, [b for _, b in refused])
+        if lo.size:
+            split = _split(pows, alpha, lo, hi, None)
+            lo, hi = np.concatenate((lo, split)), np.concatenate((split, hi))
+        elif walks:
+            # nodes on the way are internal; `below`: a class of the walk lies at or below (w, i, j)
+            _budget(s, visits + ahead)
+            w, i, j = np.array([(w, i, j) for w, (*_, classes) in enumerate(walks) for i, j in classes]).T
+            rows, cols = i.max() + 2, j.max() + 2  # so that no child's (i, j) wraps
+            undecided = np.zeros((len(walks), rows, cols), bool)
+            undecided[w, i, j] = True
+            below = np.logical_or.accumulate(np.logical_or.accumulate(undecided[:, ::-1, ::-1], 1), 2)
+            undecided, below = undecided.ravel(), below[:, ::-1, ::-1].ravel()
+            lo, hi = np.array([node[:2] for node in walks]).T
+            at, found, walks, ahead = np.arange(len(walks)) * (rows * cols), [], [], 0  # (w rows + i) cols + j
+            while lo.size:
+                stop = undecided[at]
+                found.append((lo[stop], hi[stop]))
+                lo, hi, at = lo[~stop], hi[~stop], at[~stop]
+                visits += lo.size
+                split = _split(pows, alpha, lo, hi, None)
+                left, right = below[at + cols], below[at + 1]
+                lo, hi = np.concatenate((lo[left], split[right])), np.concatenate((split[left], hi[right]))
+                at = np.concatenate((at[left] + cols, at[right] + 1))
+            lo, hi = map(np.concatenate, zip(*found))
+        else:
+            return visits, [(a, b) for a, b in leaves if a.size]
+        visits = _budget(s, visits + lo.size)
+        leaf = hi - lo <= s
+        worth = ~leaf & (hi <= far) & _worth_a_table((hi - lo) / s, per_log)
+        leaves.append((lo[leaf], hi[leaf]))
+        nodes = list(zip(lo[worth].tolist(), hi[worth].tolist()))
+        lo, hi = lo[~(leaf | worth)], hi[~(leaf | worth)]
 
 
 def _class_table(
@@ -546,8 +522,8 @@ def empirical_cell_cdf(spec: QuantizerSpec, s: float, x0: float, x1: float) -> S
 
 
 def _operand(F) -> CdfLike:
-    if not isinstance(F, (StepCdf, BiasAlphaCdf, TwoPowUnifCdf)):
-        raise DomainError(f"not a StepCdf, BiasAlphaCdf or TwoPowUnifCdf: {F!r}")
+    if not isinstance(F, (StepCdf, BiasAlphaCdf)):
+        raise DomainError(f"not a StepCdf or BiasAlphaCdf: {F!r}")
     return F
 
 
@@ -568,13 +544,13 @@ def _exceeds(p: CdfLike, q: CdfLike, eps: float) -> bool:
 def levy_distance(F, G, tol: float = 1e-4) -> float:
     """Levy metric between two size cdfs, bisected to absolute accuracy tol.
 
-    Each operand is a :class:`StepCdf`, :class:`BiasAlphaCdf` or
-    :class:`TwoPowUnifCdf`: between its kinks it is constant or ``c + d
-    log2 x``.  An offset eps is feasible unless ``p(x) - q(x + eps) > eps``
-    for some x, with (p, q) either way round; that gap is largest at a kink
-    of p, just below a kink of q shifted by -eps (the left limits there), or,
-    between two closed forms, where their log2-slopes balance at ``x = d_p
-    eps / (d_q - d_p)``.  Those points are checked exactly; no grid is used.
+    Each operand is a :class:`StepCdf` or a :class:`BiasAlphaCdf`: between
+    its kinks it is constant or ``c + d log2 x``.  An offset eps is feasible
+    unless ``p(x) - q(x + eps) > eps`` for some x, with (p, q) either way
+    round; that gap is largest at a kink of p, just below a kink of q
+    shifted by -eps (the left limits there), or, between two closed forms,
+    where their log2-slopes balance at ``x = d_p eps / (d_q - d_p)``.  Those
+    points are checked exactly; no grid is used.
     """
     f = _operand(F)
     g = _operand(G)
@@ -623,8 +599,6 @@ def renyi_rate(F: CdfLike, eta: float) -> float:
     if not (isinstance(eta, (int, float)) and math.isfinite(eta)) or eta < 0.0:
         raise DomainError(f"eta must be a nonnegative finite real, got {eta!r}")
     d = float(eta) - 1.0
-    if isinstance(F, TwoPowUnifCdf):
-        F = BiasAlphaCdf(0.5)  # the law of 2**U is the even split's
     if isinstance(F, StepCdf):
         if d == 0.0:
             return float(-(F.masses @ np.log2(F.breakpoints)))
@@ -664,8 +638,9 @@ def count_levels(spec: QuantizerSpec, s: float, x0: float, x1: float) -> int:
     These are the cells :func:`~mrquant.quantizers.enumerate_cells` lists,
     counted exactly.  The lattice schemes count them by index arithmetic
     (see :func:`_lattice_count`); BBMRQ counts them by size class with
-    :func:`_window_kernel`, which walks one by one only the cells and tree
-    nodes whose leaf status its classes cannot decide.  The test suite
+    :func:`_window_kernel`, which walks node by node only the window's
+    boundary paths, and as arrays, a tree level at a time, the nodes whose
+    leaf status its classes cannot decide.  The test suite
     checks the count against the listing and against the level-count
     integral ``(x1 - x0) * integral of 1/size dF`` evaluated in exact
     rational arithmetic.

@@ -19,7 +19,6 @@ providing a sampling-based check of the biased tree's closed-form size law.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple, Union
 
@@ -29,7 +28,6 @@ from .cdf_analysis import (
     LOG2E,
     BiasAlphaCdf,
     StepCdf,
-    TwoPowUnifCdf,
     _lattice_law,
     renyi_rate,
 )
@@ -110,11 +108,10 @@ def tradeoff_curve(
     steps s whose R_0 stays at or below x.  The lattice schemes' error, from
     their exact step-s size laws, rises with s, so the best step is 2^-x
     (2^-floor(x) on the BMRQ staircase); the biased tree uses its stationary
-    law with the log2(s) rate shift.  Points the family cannot reach are
-    skipped with a warning; for these families every finite x is reachable,
-    so that is a guard rather than an expected path.  A point whose step or
-    error exceeds float64 (log rates below about -1023, or higher for large
-    p) raises DomainError.
+    law with the log2(s) rate shift.  A point whose step or error leaves
+    float64 raises DomainError: it overflows at log rates below about -1023
+    (or higher for large p) and underflows to 0 above about 1074 (or lower
+    for large p).
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
         raise DomainError(f"p must be a positive finite real, got {p!r}")
@@ -133,13 +130,8 @@ def tradeoff_curve(
                 err = _lattice_error(_lattice_law(spec, s), p) if s > 0.0 else 0.0
         except OverflowError:
             raise DomainError(f"log rate {x} overflows float64 for {spec.scheme.value}") from None
-        if not math.isfinite(err) or err <= 0.0:
-            warnings.warn(
-                f"no step reaches log rate {x} for {spec.scheme.value}; "
-                "point skipped",
-                stacklevel=2,
-            )
-            continue
+        if not (s > 0.0 and err > 0.0):
+            raise DomainError(f"log rate {x} underflows float64 for {spec.scheme.value}")
         points.append(RateErrorPoint(log_rate=x, error=err, s=s))
     return points
 
@@ -169,7 +161,6 @@ def converse_bound(p: float) -> float:
 # Density feasibility checks
 
 
-ClosedDensity = Union[BiasAlphaCdf, TwoPowUnifCdf]
 Piece = Tuple[float, float, float, float]
 
 
@@ -200,9 +191,7 @@ class SizeDensity:
         return self.pieces[0][0], self.pieces[-1][1]
 
     @classmethod
-    def from_closed(cls, cdf: ClosedDensity) -> "SizeDensity":
-        if isinstance(cdf, TwoPowUnifCdf):
-            return cls(((0.5, 1.0, LOG2E, -1.0),))
+    def from_closed(cls, cdf: BiasAlphaCdf) -> "SizeDensity":
         if not isinstance(cdf, BiasAlphaCdf):
             raise DomainError(f"no density available for {cdf!r}")
         # (log2 e / H) (a 1{a <= x} + (1 - a) 1{1 - a <= x}) / x below 1
@@ -211,7 +200,7 @@ class SizeDensity:
         return cls(tuple(p for p in ((lo, mid, c * lo, -1.0), (mid, 1.0, c, -1.0)) if p[0] < p[1]))
 
 
-def _pieces_of(f: Union[SizeDensity, ClosedDensity]) -> Tuple[Piece, ...]:
+def _pieces_of(f: Union[SizeDensity, BiasAlphaCdf]) -> Tuple[Piece, ...]:
     return (f if isinstance(f, SizeDensity) else SizeDensity.from_closed(f)).pieces
 
 
@@ -241,7 +230,7 @@ def _in_float64(what: str, values: Callable[[], List[float]]) -> List[float]:
 
 
 def density_bound_slack(
-    f: Union[SizeDensity, ClosedDensity], y_grid: Sequence[float]
+    f: Union[SizeDensity, BiasAlphaCdf], y_grid: Sequence[float]
 ) -> List[float]:
     """Pointwise feasibility slack of a candidate stationary size density.
 
@@ -267,7 +256,7 @@ def density_bound_slack(
 
 
 def refinement_inequality_value(
-    f: Union[SizeDensity, ClosedDensity], zeta: float
+    f: Union[SizeDensity, BiasAlphaCdf], zeta: float
 ) -> float:
     """Integral inequality tying a size density to its zeta-fold refinement.
 

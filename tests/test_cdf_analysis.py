@@ -38,6 +38,13 @@ from mrquant.cdf_analysis import (
 LOG2E = math.log2(math.e)
 
 
+def closed_pdf(law):
+    """The density of a closed law (TwoPowUnifCdf is BiasAlphaCdf(0.5)):
+    ``(log2 e / H) (a 1{a <= x} + (1 - a) 1{1 - a <= x}) / x`` below 1."""
+    a, h = law.alpha, law.split_entropy
+    return lambda x: LOG2E / h * (a * (a <= x < 1.0) + (1.0 - a) * (1.0 - a <= x < 1.0)) / x
+
+
 def level_count_integral(spec, s, x0, x1) -> Fraction:
     """(x1 - x0) * integral of 1/size dF over the window's clipped cells, in
     exact rational arithmetic, so each cell contributes exactly one."""
@@ -158,7 +165,7 @@ class TestClosedForms:
             lo = cdf.support[0]
             for g in (0.55, 0.7, 0.85, 0.99):
                 want, err = quad(
-                    lambda x: float(cdf.pdf(np.asarray(x))),
+                    closed_pdf(cdf),
                     lo,
                     g,
                     points=[p for p in cdf.kinks() if lo < p < g],
@@ -421,7 +428,7 @@ class TestRenyiRates:
             pts = [p for p in cdf.kinks() if lo < p < 1.0]
             for eta in (0.0, 0.5, 2.0, 3.0):
                 integral, _ = quad(
-                    lambda x: x ** (eta - 1.0) * float(cdf.pdf(np.asarray(x))),
+                    lambda x: x ** (eta - 1.0) * closed_pdf(cdf)(x),
                     lo,
                     1.0,
                     points=pts,
@@ -430,7 +437,7 @@ class TestRenyiRates:
                 want = math.log2(integral) / (1.0 - eta)
                 assert renyi_rate(cdf, eta) == pytest.approx(want, abs=1e-9)
             shannon, _ = quad(
-                lambda x: -math.log2(x) * float(cdf.pdf(np.asarray(x))),
+                lambda x: -math.log2(x) * closed_pdf(cdf)(x),
                 lo,
                 1.0,
                 points=pts,
@@ -745,20 +752,60 @@ class TestWindowKernel:
 
     def test_undecided_classes_are_walked(self):
         # s is a node's float length, so its class is undecided in every
-        # table and its nodes are walked one by one.
+        # table and its nodes are walked down to their leaves.
         spec, s, x0, x1 = BB6, 13.491455078125, 1599964920302.1597, 1599964933406.2957
         assert count_levels(spec, s, x0, x1) == listed(spec, s, x0, x1) == 1303
         F = empirical_cell_cdf(spec, s, x0, x1)
         assert abs(math.fsum(F.masses.tolist()) - 1.0) <= 1e-12
 
+    @staticmethod
+    def count_splits(monkeypatch):
+        """A list collecting, per call of the kernel's _split, the nodes it
+        splits and whether they came as an array."""
+        calls = []
+
+        def split(pows, alpha, lo, hi, *rest):
+            calls.append((np.size(lo), isinstance(lo, np.ndarray)))
+            return quantizers._split(pows, alpha, lo, hi, *rest)
+
+        monkeypatch.setattr(cdf_analysis, "_split", split)
+        return calls
+
     def test_undecided_classes_beyond_the_budget_raise_before_walking(self, monkeypatch):
+        # Only the 117 nodes of the boundary paths are split before the
+        # raise, one by one; nothing below an undecided class.
         L = cell_of(BB6, 1.0, 5e11).size
-        walked = []
-        monkeypatch.setattr(cdf_analysis, "_walk_to_classes", lambda *a: walked.append(a))
+        calls = self.count_splits(monkeypatch)
         for s in (L, math.nextafter(L, -math.inf)):
+            calls.clear()
             with pytest.raises(DomainError, match="walk more than"):
                 count_levels(BB6, s, 0.0, 1e12)
-        assert walked == []
+            assert calls == [(1, False)] * 117
+
+    @pytest.mark.parametrize(
+        "alpha, s, x0, x1, count, split",
+        [
+            # s within 2.5e-8 of a populous class's length: a long walk
+            (0.6, 1.4608138613384036e-08, 0.0, 1.0, 102_748_973, 10_400_649),
+            (0.6, 1.0, 1e15, 1e15 + 1e6, 1_349_591, 1_349_645),  # every table refused
+            (0.74, 1.0, 0.0, 1e12, 1_705_576_403_238, 1_058_958),
+            (0.6180339887498949, 1.0, 0.0, 1e5, 117_150, 117_159),  # a lattice alpha
+        ],
+    )
+    def test_nodes_split_are_pinned(self, monkeypatch, alpha, s, x0, x1, count, split):
+        # the nodes the kernel splits, whether one by one or as arrays
+        calls = self.count_splits(monkeypatch)
+        assert count_levels(QuantizerSpec.bbmrq(alpha), s, x0, x1) == count
+        assert sum(n for n, _ in calls) == split
+
+    @pytest.mark.parametrize("alpha, x0, x1, boundary", [(0.6, 1e15, 1e15 + 1e8, 85), (0.6180339887498949, 0.0, 1e8, 87)])
+    def test_beyond_the_budget_only_the_boundary_paths_are_split(self, monkeypatch, alpha, x0, x1, boundary):
+        # Refused tables whose leaves pass the budget (at 1e15), or walks to
+        # undecided classes that may (a lattice alpha), raise first.
+        calls = self.count_splits(monkeypatch)
+        with pytest.raises(DomainError, match="walk more than"):
+            count_levels(QuantizerSpec.bbmrq(alpha), 1.0, x0, x1)
+        assert calls == [(1, False)] * boundary
 
     @pytest.mark.parametrize("x0", [0.0, 3.3e11, -4.4e11])
     def test_large_windows_split_only_the_boundary_paths(self, x0, monkeypatch):

@@ -343,6 +343,13 @@ class TestTradeoffCommand:
         assert code == 2
         assert "overflows float64" in err
 
+    def test_underflowing_log_rate_is_a_domain_error(self):
+        code, _, err = run_cli(
+            ["tradeoff", "--schemes", "bbmrq", "--xmin", "1100", "--xmax", "1100", "--points", "1"]
+        )
+        assert code == 2
+        assert "underflows float64" in err
+
 
 class TestRelayCommand:
     @staticmethod

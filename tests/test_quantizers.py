@@ -742,6 +742,8 @@ class TestQuantizeMany:
             ("a", 1.0, numbers),
             (1.0, [1, 10**400], numbers),  # an int past float64
             (10**400, 1.0, numbers),
+            (1.0, np.array([1 + 1j]), numbers),  # a cast would drop the imaginary part
+            (np.complex128(1.0), 1.0, numbers),
             ([0.5, None], [1.0, 2.0], steps),  # None converts to nan
             (np.ones(3), np.ones(4), "do not broadcast"),
             (np.ones((2, 1)), np.ones(3), "do not broadcast"),
@@ -749,9 +751,11 @@ class TestQuantizeMany:
             (0.0, [np.nan], inputs),
             (np.zeros(3), np.ones(4), steps),
         ]
-        for s, x, message in cases:
-            with pytest.raises(DomainError, match=message):
-                quantize_many(BMRQ, s, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning is no DomainError
+            for s, x, message in cases:
+                with pytest.raises(DomainError, match=message):
+                    quantize_many(BMRQ, s, x)
         with pytest.raises(ValueError):  # what callers catching numpy's error still see
             quantize_many(BMRQ, np.ones(3), np.ones(4))
 

@@ -200,6 +200,9 @@ class TestTradeoffCurve:
             (UNIFORM, 6.0, -200.0),  # the error (s/2)**6 overflows
             (bias_spec(0.6), 3.0, -400.0),
             (bias_spec(0.6), 0.5, -1100.0),
+            # the step 2**-x, or the error, underflows to 0
+            *((spec, 1.0, x) for spec in (UNIFORM, BMRQ, DBMRQ, bias_spec(0.6)) for x in (1074.5, 1100.0, 2000.0)),
+            (UNIFORM, 6.0, 200.0),  # the error (s/2)**6 underflows at s = 2**-200
         ],
     )
     def test_overflow_is_a_domain_error(self, spec, p, x):
@@ -425,12 +428,19 @@ def quad_refinement(pdf, kinks, zeta):
 
 
 def closed_pdf(law):
-    return lambda x: float(law.pdf(np.asarray(x)))
+    """The density of a closed law (TwoPowUnifCdf is BiasAlphaCdf(0.5)):
+    ``(log2 e / H) (a 1{a <= x} + (1 - a) 1{1 - a <= x}) / x`` below 1."""
+    a, h = law.alpha, law.split_entropy
+    return lambda x: LOG2E / h * (a * (a <= x < 1.0) + (1.0 - a) * (1.0 - a <= x < 1.0)) / x
 
 
 CLOSED_LAWS = [BiasAlphaCdf(a) for a in (0.501, 0.51, 0.55, 0.6, 0.7, 0.74, 0.3, 0.9)] + [
     TwoPowUnifCdf()
 ]
+
+
+def law_id(law):
+    return "TwoPowUnifCdf()" if law == TwoPowUnifCdf() else repr(law)
 ZETAS = (1.2, 1.5, 2.0, 4.0, 7.3)
 VERIFY_YS = np.linspace(0.2, 1.1, 64).tolist()
 
@@ -452,17 +462,17 @@ def mixed_pdf(x):
 
 class TestClosedFormsAgainstQuadrature:
     """The exact sums against scipy quadrature of pointwise densities: the
-    closed laws' own ``pdf`` (standard, near-half and nonstandard alphas, and
-    the two-power law) and a density with k = 0 and k = -1 pieces."""
+    closed laws' densities (:func:`closed_pdf`; standard, near-half and
+    nonstandard alphas, and the two-power law) and a density with k = 0 and k = -1 pieces."""
 
-    @pytest.mark.parametrize("law", CLOSED_LAWS, ids=repr)
+    @pytest.mark.parametrize("law", CLOSED_LAWS, ids=law_id)
     def test_pointwise_slack(self, law):
         kinks = law.kinks().tolist()  # the support's ends and the interior kink
         got = density_bound_slack(law, VERIFY_YS)
         want = [quad_slack(closed_pdf(law), kinks, y) for y in VERIFY_YS]
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
 
-    @pytest.mark.parametrize("law", CLOSED_LAWS, ids=repr)
+    @pytest.mark.parametrize("law", CLOSED_LAWS, ids=law_id)
     def test_refinement_integral(self, law):
         kinks = law.kinks().tolist()
         for zeta in ZETAS:
