@@ -38,6 +38,7 @@ from .quantizers import (
     _lattice_index,
     _listing_bounds,
     _midpoint,
+    _real,
     _split,
     _window_args,
     _window_cells,
@@ -104,8 +105,7 @@ class StepCdf:
         Distinct sizes may round to the same float after scaling; such
         atoms are merged.
         """
-        if not (factor > 0.0 and math.isfinite(factor)):
-            raise DomainError("scale factor must be positive and finite")
+        factor = _real(factor, "factor", "(0, inf)")
         bp, inverse = np.unique(self.breakpoints * factor, return_inverse=True)
         ms = np.zeros(bp.size)
         np.add.at(ms, inverse, self.masses)
@@ -119,8 +119,7 @@ class BiasAlphaCdf:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0) or not math.isfinite(self.alpha):
-            raise DomainError("alpha must lie in (0, 1)")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "(0, 1)"))
 
     @property
     def split_entropy(self) -> float:
@@ -159,8 +158,7 @@ def DbmrqAtomsCdf(s: float) -> StepCdf:  # noqa: N802 - the law's long-standing 
     """Exact two-atom size law of DBMRQ at step bound ``s``: atoms
     ``2**m <= s < 2**(m+1)`` with masses ``u - 1`` and ``2 - u`` for
     ``u = 2**(m+1)/s``, one atom at ``s`` when ``s`` is a power of two."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError("step bound must be positive and finite")
+    s = _real(s, "step bound s", "(0, inf)")
     m = math.frexp(s)[1] - 1
     small, big = math.ldexp(1.0, m), math.ldexp(1.0, m + 1)
     u = big / s  # in (1, 2]
@@ -552,10 +550,7 @@ def levy_distance(F, G, tol: float = 1e-4) -> float:
     where their log2-slopes balance at ``x = d_p eps / (d_q - d_p)``.  Those
     points are checked exactly; no grid is used.
     """
-    f = _operand(F)
-    g = _operand(G)
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol)) or tol <= 0.0:
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
+    f, g, tol = _operand(F), _operand(G), _real(tol, "tol", "(0, inf)")
 
     def feasible(eps: float) -> bool:
         return not (_exceeds(g, f, eps) or _exceeds(f, g, eps))
@@ -596,9 +591,7 @@ def renyi_rate(F: CdfLike, eta: float) -> float:
     ``gamma^(eta-1) dF``.  Near ``eta = 1`` both vanish, so ``I - 1`` is
     computed without taking the difference.
     """
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta)) or eta < 0.0:
-        raise DomainError(f"eta must be a nonnegative finite real, got {eta!r}")
-    d = float(eta) - 1.0
+    d = _real(eta, "eta", "[0, inf)") - 1.0
     if isinstance(F, StepCdf):
         if d == 0.0:
             return float(-(F.masses @ np.log2(F.breakpoints)))
@@ -623,9 +616,8 @@ def renyi_rate(F: CdfLike, eta: float) -> float:
 
 def scale_shift_rate(rate_at_unit_step: float, s: float) -> float:
     """Renyi rate at step ``s`` from the rate at step 1: subtract log2(s)."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError("step bound must be positive and finite")
-    return rate_at_unit_step - math.log2(s)
+    rate = _real(rate_at_unit_step, "rate_at_unit_step")
+    return rate - math.log2(_real(s, "step bound s", "(0, inf)"))
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +712,7 @@ def lp_error_exact(spec: QuantizerSpec, s: float, x0: float, x1: float, p: float
     the clipped length, which rounded offsets may lose (a unit window 1e276
     from its level).  A value beyond float64 raises DomainError.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
-        raise DomainError(f"p must be a positive finite real, got {p!r}")
-    p = float(p)
+    p = _real(p, "p", "(0, inf)")
     width, sizes, counts, clipped, a, b = _pieces(spec, s, x0, x1)
     m = np.maximum(np.abs(a), np.abs(b))
     r = np.clip(clipped / m, 1e-300, 1.0)  # below 1e-300 the ratio below is p + 1 in float64
@@ -740,8 +730,7 @@ def lp_error_exact(spec: QuantizerSpec, s: float, x0: float, x1: float, p: float
 def lp_error_asymptotic(F: CdfLike, p: float) -> float:
     """Asymptotic E|X - Q(X)|^p per unit step from the size cdf at step 1:
     2**(-p * (R_{p+1} + 1)) / (p + 1)."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
-        raise DomainError(f"p must be a positive finite real, got {p!r}")
+    p = _real(p, "p", "(0, inf)")
     rate = renyi_rate(F, p + 1.0)
     if math.isinf(rate):
         raise DomainError("divergent Renyi rate; no asymptotic error")

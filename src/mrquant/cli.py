@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -34,6 +33,8 @@ from .quantizers import (
     PathCodeError,
     QuantizerSpec,
     Scheme,
+    _integer,
+    _real,
     encode_path,
     quantize,
 )
@@ -86,6 +87,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 
 def _closed_form_rows(spec: QuantizerSpec, s: float) -> List[tuple]:
+    s = _real(s, "step bound s", "(0, inf)")
     if spec.scheme is not Scheme.BBMRQ:
         law = _lattice_law(spec, s)
         return list(zip(law.breakpoints, np.cumsum(law.masses)))
@@ -99,13 +101,13 @@ def _closed_form_rows(spec: QuantizerSpec, s: float) -> List[tuple]:
 
 def _cmd_cdf(args: argparse.Namespace) -> int:
     spec = _build_spec(args.scheme, args.alpha)
-    print("gamma,F")
     if args.closed_form:
         rows = _closed_form_rows(spec, args.s)
         empirical = None
     else:
         empirical = empirical_cell_cdf(spec, args.s, args.x0, args.x1)
         rows = list(zip(empirical.breakpoints, np.cumsum(empirical.masses)))
+    print("gamma,F")
     for gamma, f in rows:
         print(f"{_fmt(gamma)},{_fmt(f)}")
     if args.levy_against is not None:
@@ -129,13 +131,11 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not names:
         raise DomainError("--schemes must name at least one scheme")
-    if args.points < 1:
-        raise DomainError("--points must be a positive integer")
-    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax)):
-        raise DomainError("--xmin/--xmax must be finite")
-    if args.xmax < args.xmin:
+    points = _integer(args.points, "--points", 1)
+    xmin, xmax = _real(args.xmin, "--xmin"), _real(args.xmax, "--xmax")
+    if xmax < xmin:
         raise DomainError("--xmax must not be below --xmin")
-    grid = np.linspace(args.xmin, args.xmax, args.points).tolist()
+    grid = np.linspace(xmin, xmax, points).tolist()
     print("scheme,log_rate,error,s")
     for name in names:
         spec = _build_spec(name, args.alpha)
@@ -162,7 +162,8 @@ def _load_relay_config(path: str) -> RelayChainConfig:
         scheme = doc["scheme"]
     except KeyError as exc:
         raise ConfigError(f"relay config is missing key {exc}")
-    if not isinstance(caps, list) or not all(isinstance(k, int) for k in caps):
+    # JSON numbers load as int or float; true and false load as bool, which type() tells apart
+    if not isinstance(caps, list) or not all(type(k) is int for k in caps):
         raise ConfigError("capacities must be a list of integers")
     if not isinstance(scheme, str):
         raise ConfigError("scheme must be a string")
@@ -170,18 +171,13 @@ def _load_relay_config(path: str) -> RelayChainConfig:
     if (
         not isinstance(domain, list)
         or len(domain) != 2
-        or not all(isinstance(v, (int, float)) for v in domain)
+        or not all(type(v) in (int, float) for v in domain)
     ):
         raise ConfigError("domain must be [lo, hi]")
     alpha = doc.get("alpha")
-    if alpha is not None and not isinstance(alpha, (int, float)):
+    if alpha is not None and type(alpha) not in (int, float):
         raise ConfigError("alpha must be a number")
-    spec = _build_spec(scheme, alpha)
-    return RelayChainConfig(
-        capacities=tuple(caps),
-        spec=spec,
-        domain=(float(domain[0]), float(domain[1])),
-    )
+    return RelayChainConfig(capacities=tuple(caps), spec=_build_spec(scheme, alpha), domain=tuple(domain))
 
 
 def _cmd_relay(args: argparse.Namespace) -> int:

@@ -36,12 +36,18 @@ same cells bit for bit.  The vector rule serves :func:`quantize_many` and
 :class:`Cell` per cell; :func:`enumerate_cells` is its scalar oracle.  It runs
 in cache-sized blocks, which keeps every bit: each output element depends
 only on its own input and step.
+
+Every scalar argument of the package is checked once, by :func:`_real` or
+:func:`_integer`, and used as the Python float or int it equals: a numpy
+scalar is converted, and a bool, a string or a non-finite value raises
+DomainError.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -99,6 +105,42 @@ class Scheme(Enum):
     BBMRQ = "bbmrq"
 
 
+# ---------------------------------------------------------------------------
+# The argument rule: every public scalar goes through one of these two checks
+
+
+@lru_cache(maxsize=None)  # the few bounds written in the code
+def _interval(bounds: str) -> Tuple[float, float, bool, bool]:
+    """``(lo, hi, lo_closed, hi_closed)`` of bounds such as ``"[0, inf)"``."""
+    lo, hi = bounds[1:-1].split(",")
+    return float(lo), float(hi), bounds[0] == "[", bounds[-1] == "]"
+
+
+def _real(v, name: str, bounds: str = "(-inf, inf)") -> float:
+    """``v`` as a Python float, or DomainError unless it is a ``numbers.Real``
+    other than a bool whose value lies in ``bounds``, written as ``"(0, 1)"``
+    or ``"[0, inf)"`` with infinite ends open, so the float is finite.  A
+    numpy scalar becomes the float64 number it equals."""
+    # float and int skip the slow abstract-class test; bool is neither type
+    if type(v) is float or type(v) is int or isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:  # an int past float64
+            f = math.nan
+        lo, hi, lo_closed, hi_closed = _interval(bounds)
+        if (lo <= f if lo_closed else lo < f) and (f <= hi if hi_closed else f < hi):
+            return f
+    raise DomainError(f"{name} must be a finite real in {bounds}, got {v!r}")
+
+
+def _integer(v, name: str, least: int) -> int:
+    """``v`` as a Python int, or DomainError unless it is a
+    ``numbers.Integral`` other than a bool, at least ``least``."""
+    if (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)) and v >= least:
+        return int(v)
+    raise DomainError(f"{name} must be an integer in [{least}, inf), got {v!r}")
+
+
 class _AlphaPowers:
     """Memoized table of ``alpha**n`` over integer ``n``.
 
@@ -116,8 +158,6 @@ class _AlphaPowers:
     __slots__ = ("alpha", "_asc", "_view", "n_min", "n_max", "max_descent")
 
     def __init__(self, alpha: float) -> None:
-        if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
         self.alpha = alpha
         self.max_descent = math.ceil(2100 / -math.log2(max(alpha, 1.0 - alpha))) + 64
         # Either way the powers leave float64 within about 1075/-log2(alpha)
@@ -178,7 +218,9 @@ class QuantizerSpec:
     ``nonstandard_alpha`` explicitly opts out; values outside that range keep
     the algorithms well defined but void the distributional guarantees, so
     they trigger a warning.  ``dither_irrational`` only matters for DBMRQ.
-    Instances are immutable and safe to share between threads.
+    Both are stored as the Python floats they equal, so a float32 alpha
+    splits in float64 on every path.  Instances are immutable and safe to
+    share between threads.
     """
 
     scheme: Scheme
@@ -192,10 +234,11 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.scheme, Scheme):
             raise DomainError(f"unknown scheme {self.scheme!r}")
+        d = _real(self.dither_irrational, "dither_irrational", "(0, inf)")
+        object.__setattr__(self, "dither_irrational", d)
         if self.scheme is Scheme.BBMRQ:
-            a = self.alpha
-            if a is None or not math.isfinite(a) or not (0.0 < a < 1.0):
-                raise DomainError("BBMRQ requires alpha in (0, 1)")
+            a = _real(self.alpha, "alpha", "(0, 1)")
+            object.__setattr__(self, "alpha", a)
             if not (0.5 < a < 0.75):
                 if not self.nonstandard_alpha:
                     raise DomainError(
@@ -211,10 +254,6 @@ class QuantizerSpec:
         else:
             if self.alpha is not None:
                 raise DomainError(f"alpha only applies to BBMRQ, not {self.scheme}")
-        if self.scheme is Scheme.DBMRQ:
-            d = self.dither_irrational
-            if not math.isfinite(d) or d <= 0.0:
-                raise DomainError("DBMRQ dither constant must be positive and finite")
 
     @classmethod
     def uniform(cls) -> "QuantizerSpec":
@@ -282,16 +321,6 @@ class Cell:
     @property
     def size(self) -> float:
         return self.hi - self.lo
-
-
-def _require_step(s: float) -> None:
-    if not isinstance(s, (int, float)) or not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"step bound must be a positive finite real, got {s!r}")
-
-
-def _require_input(x: float) -> None:
-    if not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise DomainError(f"input must be a finite real, got {x!r}")
 
 
 def _midpoint(lo, hi):
@@ -459,10 +488,7 @@ def _biased_cell(spec: QuantizerSpec, s: float, x: float) -> Cell:
 
 def cell_of(spec: QuantizerSpec, s: float, x: float) -> Cell:
     """The cell of ``x`` under scheme ``spec`` at step bound ``s``."""
-    _require_step(s)
-    _require_input(x)
-    x = float(x)
-    s = float(s)
+    s, x = _real(s, "step bound s", "(0, inf)"), _real(x, "x")
     if spec.scheme is Scheme.BBMRQ:
         return _biased_cell(spec, s, x)
     return _lattice_cell(spec, s, x)
@@ -481,8 +507,7 @@ def tree_interval(alpha: float, path: PathCode) -> Tuple[float, float]:
     Splits come from the same :func:`_split` as the descent in
     :func:`cell_of`, so the two agree bit for bit.
     """
-    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be a float in (0, 1), got {alpha!r}")
+    alpha = _real(alpha, "alpha", "(0, 1)")
     if not isinstance(path, PathCode):
         raise PathCodeError(f"expected a PathCode, got {path!r}")
     pows = _powers_for(alpha)
@@ -658,12 +683,9 @@ def _window_args(
     BBMRQ and ``s / 2`` otherwise.  It comes from ``(x1 - x0) / s``, so no
     underflowed cell length divides it; it bounds the window's cell count.
     """
-    _require_step(s)
-    _require_input(x0)
-    _require_input(x1)
+    s, x0, x1 = _real(s, "step bound s", "(0, inf)"), _real(x0, "x0"), _real(x1, "x1")
     if not x0 < x1:
         raise DomainError(f"need x0 < x1, got [{x0!r}, {x1!r})")
-    s, x0, x1 = float(s), float(x0), float(x1)
     shortest = min(spec.alpha, 1.0 - spec.alpha) if spec.scheme is Scheme.BBMRQ else 0.5
     return s, x0, x1, (x1 - x0) / s / shortest
 

@@ -37,7 +37,9 @@ from .quantizers import (
     Scheme,
     _checked_window,
     _first_float,
+    _integer,
     _listing_bounds,
+    _real,
     _split,
     _window_cells,
     quantize,
@@ -81,17 +83,11 @@ class RelayChainConfig:
     domain: Tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        caps = tuple(self.capacities)
-        object.__setattr__(self, "capacities", caps)
+        caps = tuple(_integer(k, "capacities entry", 2) for k in self.capacities)
         if not caps:
             raise DomainError("capacities must be nonempty")
-        for k in caps:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-                raise DomainError(f"capacities must be integers >= 2, got {k!r}")
-        dom = (float(self.domain[0]), float(self.domain[1]))
-        object.__setattr__(self, "domain", dom)
-        if not (math.isfinite(dom[0]) and math.isfinite(dom[1]) and dom[0] < dom[1]):
-            raise DomainError(f"domain must be a finite interval, got {dom!r}")
+        object.__setattr__(self, "capacities", caps)
+        object.__setattr__(self, "domain", _domain(self.domain))
 
     @property
     def resolved_policy(self) -> CapacityPolicy:
@@ -108,6 +104,19 @@ class RelayTrace:
     outputs: Tuple[float, ...]
     final_abs_error: float
     steps_used: Tuple[float, ...]
+
+
+def _domain(domain: Tuple[float, float]) -> Tuple[float, float]:
+    """The ends of ``domain`` as floats, or DomainError unless it is a pair of
+    reals ``x0 < x1`` whose distance is finite in float64."""
+    try:
+        x0, x1 = domain
+    except (TypeError, ValueError):
+        raise DomainError(f"domain must be a pair (x0, x1), got {domain!r}") from None
+    x0, x1 = _real(x0, "domain x0"), _real(x1, "domain x1")
+    if not (x0 < x1 and x1 - x0 < math.inf):
+        raise DomainError(f"domain must be an interval x0 < x1 of finite width, got {domain!r}")
+    return x0, x1
 
 
 def capacity_to_step(
@@ -135,12 +144,7 @@ def capacity_to_step(
     resolved in float64, and where the partition at width/(k+1) would exceed
     the cell budget.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise DomainError(f"capacity must be an integer >= 2, got {k!r}")
-    x0, x1 = float(domain[0]), float(domain[1])
-    if not (math.isfinite(x0) and math.isfinite(x1) and x0 < x1):
-        raise DomainError(f"domain must be a finite interval, got {domain!r}")
-    return _searched_step(spec, k, x0, x1)
+    return _searched_step(spec, _integer(k, "capacity k", 2), *_domain(domain))
 
 
 @lru_cache(maxsize=1024)
@@ -253,11 +257,9 @@ def _applied_steps(steps: Sequence[float]) -> List[Optional[float]]:
 def run_chain(cfg: RelayChainConfig, x: float) -> RelayTrace:
     """Push one value through the chain, recording every hop's output."""
     x0, x1 = cfg.domain
-    if not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise DomainError(f"input must be a finite real, got {x!r}")
+    x = _real(x, "x")
     if not (x0 <= x < x1):
         raise DomainError(f"input {x!r} outside domain [{x0}, {x1})")
-    x = float(x)
     steps = _chain_steps(cfg)
     y = x
     outputs = []
@@ -295,10 +297,7 @@ def average_chain_error(
     the default grid; ``grid_size`` stays for callers that check against a
     smaller one.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
-        raise DomainError(f"p must be a positive finite real, got {p!r}")
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 1:
-        raise DomainError(f"grid_size must be a positive integer, got {grid_size!r}")
+    p, grid_size = _real(p, "p", "(0, inf)"), _integer(grid_size, "grid_size", 1)
     xs = _midpoint_grid(*cfg.domain, grid_size)
     first, *later = _applied_steps(_chain_steps(cfg))
     lo, _, levels = _window_cells(cfg.spec, first, xs[0], math.nextafter(xs[-1], math.inf))
@@ -327,8 +326,7 @@ def adversarial_ratio(
     config maximizing the ratio of average errors, with the ratio.  Budget
     zero returns the original config and 1.0.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise DomainError(f"budget must be a nonnegative integer, got {budget!r}")
+    budget, p = _integer(budget, "budget", 0), _real(p, "p", "(0, inf)")
     if budget == 0:
         return cfg, 1.0
     base = average_chain_error(cfg, p)

@@ -31,7 +31,7 @@ from .cdf_analysis import (
     _lattice_law,
     renyi_rate,
 )
-from .quantizers import DomainError, QuantizerSpec, Scheme
+from .quantizers import DomainError, QuantizerSpec, Scheme, _integer, _real
 
 __all__ = [
     "RateErrorPoint",
@@ -69,27 +69,14 @@ class RenewalConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0) or not math.isfinite(self.alpha):
-            raise DomainError("alpha must lie in (0, 1)")
-        if not (self.horizon_t > 0.0 and math.isfinite(self.horizon_t)):
-            raise DomainError("horizon_t must be positive and finite")
-        if not (isinstance(self.samples, int) and self.samples >= 1):
-            raise DomainError("samples must be a positive integer")
-        if not isinstance(self.seed, int):
-            raise DomainError("seed must be an integer")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "(0, 1)"))
+        object.__setattr__(self, "horizon_t", _real(self.horizon_t, "horizon_t", "(0, inf)"))
+        object.__setattr__(self, "samples", _integer(self.samples, "samples", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 # ---------------------------------------------------------------------------
 # Tradeoff curves
-
-
-def _validate_grid(x_grid: Sequence[float]) -> List[float]:
-    xs = [float(x) for x in x_grid]
-    if not xs:
-        raise DomainError("x_grid must be nonempty")
-    if not all(math.isfinite(x) for x in xs):
-        raise DomainError("x_grid entries must be finite")
-    return sorted(xs)
 
 
 def _lattice_error(law: StepCdf, p: float) -> float:
@@ -113,10 +100,10 @@ def tradeoff_curve(
     (or higher for large p) and underflows to 0 above about 1074 (or lower
     for large p).
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
-        raise DomainError(f"p must be a positive finite real, got {p!r}")
-    p = float(p)
-    xs = _validate_grid(x_grid)
+    p = _real(p, "p", "(0, inf)")
+    xs = sorted(_real(x, "x_grid entry") for x in x_grid)
+    if not xs:
+        raise DomainError("x_grid must be nonempty")
     points: List[RateErrorPoint] = []
     for x in xs:
         try:
@@ -146,9 +133,7 @@ def converse_bound(p: float) -> float:
     summed as its series, whose positive terms ``h^(2n) / (2n+1)!`` fall at
     least 80-fold, so nothing cancels as ``p -> 0``.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p <= 0.0:
-        raise DomainError(f"p must be a positive finite real, got {p!r}")
-    x = float(p) * math.log(2.0)
+    x = _real(p, "p", "(0, inf)") * math.log(2.0)
     if x >= 1.0:
         return math.log2(LOG2E) + math.log(-math.expm1(-x) / x) / x
     h2, s, term, n = 0.25 * x * x, 0.0, x * x / 24.0, 3
@@ -241,9 +226,9 @@ def density_bound_slack(
     raises DomainError.
     """
     pieces = _pieces_of(f)
-    ys = [float(y) for y in y_grid]
-    if not ys or not all(math.isfinite(y) and y > 0.0 for y in ys):
-        raise DomainError("y_grid must be nonempty positive finite reals")
+    ys = [_real(y, "y_grid entry", "(0, inf)") for y in y_grid]
+    if not ys:
+        raise DomainError("y_grid must be nonempty")
 
     def tail(y: float) -> float:
         return math.fsum(_weighted(c, k, max(l, y), r) for l, r, c, k in pieces if r > y)
@@ -269,9 +254,7 @@ def refinement_inequality_value(
     cross once, where the interval is cut again.  A sum beyond float64
     raises DomainError.
     """
-    if not (isinstance(zeta, (int, float)) and math.isfinite(zeta)) or zeta <= 1.0:
-        raise DomainError(f"zeta must exceed 1, got {zeta!r}")
-    zeta = float(zeta)
+    zeta = _real(zeta, "zeta", "(1, inf)")
     fs = _pieces_of(f)
 
     def value() -> List[float]:

@@ -24,7 +24,7 @@ from .cdf_analysis import (
     levy_distance,
     renyi_rate,
 )
-from .quantizers import DomainError, QuantizerSpec, Scheme, quantize_many
+from .quantizers import DomainError, QuantizerSpec, Scheme, _integer, quantize_many
 from .tradeoff import (
     RenewalConfig,
     SizeDensity,
@@ -265,7 +265,9 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Run one named suite, or every suite for ``all``."""
+    """Run one named suite, or every suite for ``all``, from an integer
+    ``seed >= 0``."""
+    seed = _integer(seed, "seed", 0)
     if name == "all":
         results: List[CheckResult] = []
         for key in _SUITES:

@@ -601,6 +601,14 @@ class TestLatticeCounts:
         with pytest.raises(DomainError):
             count_levels(QuantizerSpec.bmrq(), 1.5, x0, x1)
 
+    def test_more_dbmrq_pairs_than_the_budget_raise_before_any_is_tested(self, monkeypatch):
+        # [0, 1e8) at step 1.5 holds 5e7 pairs of level-0 cells
+        tested = []
+        monkeypatch.setattr(cdf_analysis, "_dyadic_level", lambda *args: tested.append(args))
+        with pytest.raises(DomainError, match="would test over 20000000 pairs"):
+            count_levels(QuantizerSpec.dbmrq(), 1.5, 0.0, 1e8)
+        assert tested == []
+
     def test_tiny_negative_start_takes_the_pair_below_zero(self):
         # x0's pair index underflows to -0.0, the pair of 0, which the step
         # merges; x0's own pair, -1, it does not.

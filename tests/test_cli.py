@@ -265,6 +265,22 @@ class TestCdfCommand:
         assert code == 2
         assert "alpha" in err
 
+    def test_levy_against_bias_needs_an_alpha(self):
+        code, out, err = run_cli(
+            ["cdf", "--scheme", "bmrq", "--s", "1", "--x1", "10", "--levy-against", "bias"]
+        )
+        assert code == 2
+        assert "--levy-against bias needs --alpha" in err
+
+    def test_bbmrq_closed_form_rejects_bad_steps(self):
+        # the closed law is scaled by s, so s = -1 would print negative sizes
+        for s in ("-1", "0", "inf", "nan"):
+            code, out, err = run_cli(
+                ["cdf", "--scheme", "bbmrq", "--alpha", "0.6", "--s", s, "--closed-form"]
+            )
+            assert (code, out) == (2, "")
+            assert "step bound s must be a finite real in (0, inf)" in err
+
 
 class TestTradeoffCommand:
     def test_header_and_staircase_values(self):
@@ -342,6 +358,23 @@ class TestTradeoffCommand:
         )
         assert code == 2
         assert "overflows float64" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--schemes", " , "], "--schemes must name at least one scheme"),
+            (["--schemes", "bmrq", "--points", "0"], "--points must be an integer in [1, inf), got 0"),
+            (["--schemes", "bmrq", "--xmin", "nan"], "--xmin must be a finite real"),
+            (["--schemes", "bmrq", "--xmax", "inf"], "--xmax must be a finite real"),
+            (["--schemes", "bmrq", "--xmin=-inf"], "--xmin must be a finite real"),
+            (["--schemes", "bmrq", "--xmin", "3", "--xmax", "1"], "--xmax must not be below --xmin"),
+        ],
+        ids=["no-schemes", "no-points", "nan-xmin", "inf-xmax", "-inf-xmin", "inverted"],
+    )
+    def test_bad_grids_are_domain_errors(self, argv, message):
+        code, out, err = run_cli(["tradeoff", *argv])
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_underflowing_log_rate_is_a_domain_error(self):
         code, _, err = run_cli(
@@ -437,6 +470,38 @@ class TestRelayCommand:
             assert "unknown config keys" in err
             assert "policy" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([4, 3], "relay config must be a JSON object"),
+            ({"capacities": [4]}, "missing key 'scheme'"),
+            ({"capacities": 4, "scheme": "uniform"}, "capacities must be a list of integers"),
+            ({"capacities": [4, 2.5], "scheme": "uniform"}, "capacities must be a list of integers"),
+            ({"capacities": [4], "scheme": 3}, "scheme must be a string"),
+            ({"capacities": [4], "scheme": "uniform", "domain": [0.0]}, "domain must be [lo, hi]"),
+            ({"capacities": [4], "scheme": "uniform", "domain": {"lo": 0}}, "domain must be [lo, hi]"),
+            ({"capacities": [4], "scheme": "uniform", "domain": [0, "1"]}, "domain must be [lo, hi]"),
+            ({"capacities": [4], "scheme": "bbmrq", "alpha": "0.6"}, "alpha must be a number"),
+            # JSON true is no number, though Python's bool is an int
+            ({"capacities": [True, 4], "scheme": "uniform"}, "capacities must be a list of integers"),
+            ({"capacities": [4], "scheme": "uniform", "domain": [0, True]}, "domain must be [lo, hi]"),
+            ({"capacities": [4], "scheme": "bbmrq", "alpha": True}, "alpha must be a number"),
+        ],
+    )
+    def test_config_shape_errors_are_config_errors(self, tmp_path, doc, message):
+        cfg = self.write_config(tmp_path, doc)
+        code, out, err = run_cli(["relay", "--config", cfg, "--x", "0.5"])
+        assert (code, out) == (4, "")
+        assert message in err
+
+    def test_domain_wider_than_float64_is_a_domain_error(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path, {"capacities": [4], "scheme": "uniform", "domain": [-1e308, 1e308]}
+        )
+        code, out, err = run_cli(["relay", "--config", cfg, "--x", "0.5"])
+        assert (code, out) == (2, "")
+        assert "domain must be an interval x0 < x1 of finite width" in err
+
     def test_semantic_errors_keep_the_domain_exit_code(self, tmp_path):
         cfg = self.write_config(
             tmp_path, {"capacities": [4, 1], "scheme": "uniform"}
@@ -514,6 +579,15 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--suite", "renewal"])
         assert code == 4
         assert "MRQ_SEED" in err
+
+    def test_negative_seed_is_a_domain_error(self, monkeypatch):
+        code, out, err = run_cli(["verify", "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert "seed must be an integer in [0, inf), got -1" in err
+        monkeypatch.setenv("MRQ_SEED", "-5")
+        code, out, err = run_cli(["verify", "--suite", "converse"])
+        assert (code, out) == (2, "")
+        assert "seed must be an integer in [0, inf), got -5" in err
 
     def test_unknown_suite_exits_2(self):
         code, _, err = run_cli(["verify", "--suite", "everything"])

@@ -1,7 +1,9 @@
 """The package namespace re-exports the public names of its library modules,
-and the benchmark finds the names it wraps."""
+every public callable is in the argument contract, and the benchmark finds
+the names it wraps."""
 
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mrquant
+from test_arguments import CONTRACT, EXEMPT
 
 # The command-line module's names (main, build_parser) are its entry points,
 # not part of the library API.
@@ -31,6 +34,27 @@ def test_submodule_public_names_are_reexported(module):
 
 def test_package_names_exist():
     assert [name for name in mrquant.__all__ if not hasattr(mrquant, name)] == []
+
+
+# The annotations of the parameters that carry scalars, one or several.
+SCALAR_ANNOTATIONS = {"float", "int", "Optional[float]", "Sequence[float]", "Tuple[float, float]", "Tuple[int, ...]"}
+
+
+def test_every_entry_point_is_in_the_argument_contract():
+    # A new public callable, or a new scalar parameter of a listed one, must
+    # join the table of tests/test_arguments.py (or be exempted there), so
+    # that it cannot skip the argument rule unnoticed.
+    covered = {}
+    for row in CONTRACT:
+        covered.setdefault(row.name, set()).add(row.param)
+    public = {name for name in mrquant.__all__ if callable(getattr(mrquant, name))}
+    assert sorted(public - covered.keys() - EXEMPT.keys()) == []
+    assert sorted((covered.keys() | EXEMPT.keys()) - public) == []
+    assert sorted(covered.keys() & EXEMPT.keys()) == []
+    for name, params in covered.items():
+        signature = inspect.signature(getattr(mrquant, name))
+        scalar = {p.name for p in signature.parameters.values() if p.annotation in SCALAR_ANNOTATIONS}
+        assert sorted(scalar - params) == [], name
 
 
 def test_perfbench_wraps_resolve(monkeypatch):

@@ -137,6 +137,22 @@ class TestConfig:
         with pytest.raises(DomainError):
             RelayChainConfig(capacities=(4,), spec=UNIFORM, domain=(0.0, math.inf))
 
+    def test_a_domain_wider_than_float64_is_refused(self):
+        # both ends are finite, but x1 - x0 overflows to inf
+        with pytest.raises(DomainError, match=r"^domain must be an interval .* of finite width"):
+            RelayChainConfig(capacities=(4,), spec=UNIFORM, domain=(-1e308, 1e308))
+        for spec in (UNIFORM, BMRQ, DBMRQ, BB6):
+            with pytest.raises(DomainError, match=r"^domain must be an interval .* of finite width"):
+                capacity_to_step(spec, 4, (-1e308, 1e308))
+        assert RelayChainConfig((4,), UNIFORM, (-8e307, 8e307)).domain == (-8e307, 8e307)
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0, 2.0), (1.0,), 1.0, None])
+    def test_a_domain_that_is_no_pair_is_refused(self, domain):
+        with pytest.raises(DomainError, match=r"^domain must be a pair \(x0, x1\)"):
+            RelayChainConfig(capacities=(4,), spec=UNIFORM, domain=domain)
+        with pytest.raises(DomainError, match=r"^domain must be a pair \(x0, x1\)"):
+            capacity_to_step(UNIFORM, 4, domain)
+
     @pytest.mark.parametrize("spec", [UNIFORM, BMRQ, DBMRQ, BB6])
     def test_one_capacity_rule_for_every_scheme(self, spec):
         cfg = RelayChainConfig(capacities=(4,), spec=spec)
@@ -234,6 +250,9 @@ class TestCapacityToStep:
         # a window straddling three whole-at-any-step cells cannot fit in 2
         with pytest.raises(DomainError, match="cannot cover"):
             capacity_to_step(BB6, 2, (0.99, 3.01))
+        # a lattice scheme: the bmrq cells [0, 1), [1, 2), [2, 3) stay apart at step width
+        with pytest.raises(DomainError, match="cannot cover"):
+            capacity_to_step(BMRQ, 2, (0.9, 2.4))
         for spec in ORACLE_SPECS:
             outcome = search_outcome(bisected_step, spec, 2, (0.99, 3.01))
             assert search_outcome(fresh_capacity_to_step, spec, 2, (0.99, 3.01)) == outcome
