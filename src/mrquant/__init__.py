@@ -1,106 +1,16 @@
 """Multi-resolution scalar quantizers and their cell-size analysis toolkit."""
 
-from .cdf_analysis import (
-    LOG2E,
-    BiasAlphaCdf,
-    DbmrqAtomsCdf,
-    StepCdf,
-    TwoPowUnifCdf,
-    count_levels,
-    empirical_cell_cdf,
-    levy_distance,
-    lp_error_asymptotic,
-    lp_error_exact,
-    output_entropy,
-    renyi_rate,
-    scale_shift_rate,
-)
-from .quantizers import (
-    GOLDEN_RATIO,
-    Cell,
-    DomainError,
-    PathCode,
-    PathCodeError,
-    QuantizerSpec,
-    Scheme,
-    cell_of,
-    decode_path,
-    encode_path,
-    enumerate_cells,
-    quantize,
-    quantize_many,
-    tree_interval,
-)
-from .relay_sim import (
-    DEFAULT_GRID_SIZE,
-    CapacityPolicy,
-    RelayChainConfig,
-    RelayTrace,
-    adversarial_ratio,
-    average_chain_error,
-    capacity_to_step,
-    run_chain,
-)
-from .tradeoff import (
-    RateErrorPoint,
-    RenewalConfig,
-    SizeDensity,
-    converse_bound,
-    density_bound_slack,
-    refinement_inequality_value,
-    renewal_oracle_cdf,
-    tradeoff_curve,
-)
-from .verify import CheckResult, SUITE_NAMES, run_suite
+from . import cdf_analysis, quantizers, relay_sim, tradeoff, verify
+from .cdf_analysis import *
+from .quantizers import *
+from .relay_sim import *
+from .tradeoff import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasAlphaCdf",
-    "CapacityPolicy",
-    "Cell",
-    "CheckResult",
-    "DEFAULT_GRID_SIZE",
-    "DbmrqAtomsCdf",
-    "DomainError",
-    "GOLDEN_RATIO",
-    "LOG2E",
-    "PathCode",
-    "PathCodeError",
-    "QuantizerSpec",
-    "RateErrorPoint",
-    "RelayChainConfig",
-    "RelayTrace",
-    "RenewalConfig",
-    "Scheme",
-    "SizeDensity",
-    "StepCdf",
-    "SUITE_NAMES",
-    "TwoPowUnifCdf",
-    "adversarial_ratio",
-    "average_chain_error",
-    "capacity_to_step",
-    "cell_of",
-    "converse_bound",
-    "count_levels",
-    "decode_path",
-    "density_bound_slack",
-    "empirical_cell_cdf",
-    "encode_path",
-    "enumerate_cells",
-    "levy_distance",
-    "lp_error_asymptotic",
-    "lp_error_exact",
-    "output_entropy",
-    "quantize",
-    "quantize_many",
-    "refinement_inequality_value",
-    "renewal_oracle_cdf",
-    "renyi_rate",
-    "run_chain",
-    "run_suite",
-    "scale_shift_rate",
-    "tradeoff_curve",
-    "tree_interval",
-    "__version__",
-]
+    name
+    for module in (cdf_analysis, quantizers, relay_sim, tradeoff, verify)
+    for name in module.__all__
+] + ["__version__"]

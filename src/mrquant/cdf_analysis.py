@@ -46,6 +46,7 @@ from .quantizers import (
 )
 
 __all__ = [
+    "LOG2E",
     "StepCdf",
     "BiasAlphaCdf",
     "TwoPowUnifCdf",
@@ -691,12 +692,13 @@ def output_entropy(spec: QuantizerSpec, s: float, x0: float, x1: float) -> float
     Read from the size classes of :func:`empirical_cell_cdf`: each whole
     cell's probability is its class size over the window, off by ``M / s``
     relative at most, so the entropy ``H`` is within about ``(H + 2) M / s``
-    bits of the cell-by-cell sum.
+    bits of the cell-by-cell sum.  The terms are added by ``math.fsum``, so
+    the order of the pieces cannot move the value.
     """
     width, sizes, counts, clipped, _, _ = _pieces(spec, s, x0, x1)
     w, c = sizes / width, clipped / width
     c = c[c > 0.0]  # a cut piece whose share underflows adds 0 log 0 = 0
-    return float(-((counts * w) @ np.log2(w)) - c @ np.log2(c))
+    return -math.fsum(np.concatenate((counts * w * np.log2(w), c * np.log2(c))).tolist())
 
 
 def lp_error_exact(spec: QuantizerSpec, s: float, x0: float, x1: float, p: float) -> float:
@@ -710,7 +712,9 @@ def lp_error_exact(spec: QuantizerSpec, s: float, x0: float, x1: float, p: float
     clipped range: ``m^p``, ``m`` its largest offset from the level, times
     ``(1 - (1 - r)^(p+1)) / (r (p + 1))`` on one side of the level, ``r m``
     the clipped length, which rounded offsets may lose (a unit window 1e276
-    from its level).  A value beyond float64 raises DomainError.
+    from its level).  The terms are added by ``math.fsum``, so the order of
+    the pieces cannot move the value.  A value beyond float64 raises
+    DomainError.
     """
     p = _real(p, "p", "(0, inf)")
     width, sizes, counts, clipped, a, b = _pieces(spec, s, x0, x1)
@@ -720,8 +724,12 @@ def lp_error_exact(spec: QuantizerSpec, s: float, x0: float, x1: float, p: float
         one_side = -np.expm1((p + 1.0) * np.log1p(-r)) / r
         both_sides = ((np.abs(a) / m) ** (p + 1.0) + (np.abs(b) / m) ** (p + 1.0)) * (m / clipped)
         cut = m ** p * np.where((a < 0.0) & (b > 0.0), both_sides, one_side)
-        whole = (counts * sizes / width) @ (sizes ** p * 0.5 ** p)  # 0.5 * 5e-324 is 0
-        value = float((whole + (clipped / width) @ cut) / (p + 1.0))
+        whole = (counts * sizes / width) * (sizes ** p * 0.5 ** p)  # 0.5 * 5e-324 is 0
+        terms = np.concatenate((whole, (clipped / width) * cut)).tolist()
+    try:
+        value = math.fsum(terms) / (p + 1.0)
+    except OverflowError:  # the exact sum is past float64
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"E|X - Q(X)|^{p} on [{x0}, {x1}) at step {s} overflows float64")
     return value

@@ -225,8 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failed += not r.passed
-        value = "" if r.value is None else f" value={_fmt(r.value)}"
-        print(f"{status} {r.name}{value} :: {r.detail}")
+        lo, hi = r.bound
+        print(f"{status} {r.name} value={_fmt(r.value)} :: in [{lo!r}, {hi!r}]; {r.detail}")
     print(f"{len(results) - failed} passed, {failed} failed (seed {seed})")
     return 3 if failed else 0
 

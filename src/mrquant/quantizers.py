@@ -647,13 +647,15 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
     """Vectorized :func:`quantize`; ``s`` may be a scalar or match ``x``.
 
     Matches the scalar implementation bit for bit (both run the same float64
-    expressions, element by element).  Non-numeric or complex arguments,
-    then bad inputs, steps and shapes, raise DomainError in that order.
+    expressions, element by element).  Non-numeric, bool or complex
+    arguments, then bad inputs, steps and shapes, raise DomainError in that
+    order.
     """
     try:
-        if np.iscomplexobj(x) or np.iscomplexobj(s):  # which the cast would truncate
-            raise TypeError("complex values")
-        x, s = np.asarray(x, dtype=np.float64), np.asarray(s, dtype=np.float64)
+        x, s = np.asarray(x), np.asarray(s)
+        if x.dtype.kind in "bc" or s.dtype.kind in "bc":  # a cast reads True as 1.0, drops imaginary parts
+            raise TypeError(f"{x.dtype} and {s.dtype} values")
+        x, s = x.astype(np.float64, copy=False), s.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as e:
         raise DomainError(f"inputs and step bounds must be finite reals ({e})") from None
     if not np.isfinite(x).all():

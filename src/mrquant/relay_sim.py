@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -142,9 +143,13 @@ def capacity_to_step(
     once ``count_levels`` confirms at most k levels at L and more at the
     float below.  It raises DomainError where a split it needs cannot be
     resolved in float64, and where the partition at width/(k+1) would exceed
-    the cell budget.
+    the cell budget, or k + 1 has no float64 value.
     """
-    return _searched_step(spec, _integer(k, "capacity k", 2), *_domain(domain))
+    k = _integer(k, "capacity k", 2)
+    if k > sys.float_info.max:  # the search divides by k + 1 in float64
+        raise DomainError(f"capacity k must be an integer in [2, {sys.float_info.max!r}], "
+                          f"got one of {k.bit_length()} bits")
+    return _searched_step(spec, k, *_domain(domain))
 
 
 @lru_cache(maxsize=1024)
@@ -306,7 +311,10 @@ def average_chain_error(
         if s is not None:
             levels = quantize_many(cfg.spec, s, levels)
     ys = np.repeat(levels, np.diff(starts, append=grid_size))
-    return float(np.mean(np.abs(ys - xs) ** p))
+    ys -= xs  # in place: the one buffer as long as the grid
+    np.abs(ys, out=ys)
+    ys **= p
+    return float(ys.mean())
 
 
 def _decrement_vectors(caps: Tuple[int, ...], budget: int):

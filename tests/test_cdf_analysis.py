@@ -937,6 +937,24 @@ class TestLpError:
         want = lp_error_asymptotic(BiasAlphaCdf(0.51), 1.0)
         assert got == pytest.approx(want, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "alpha, s, x0, x1",
+        [
+            (0.9, 2.23434753782182, -408108754890542.8, -408108754870542.8),  # 28 472 cut pieces
+            (0.6, 0.37, -1234.5, 8.9e3),  # 367 size classes and 87 cut pieces
+        ],
+    )
+    def test_sums_do_not_depend_on_the_order_of_the_pieces(self, monkeypatch, alpha, s, x0, x1):
+        # the array walk may list the pieces in any order
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            args = (QuantizerSpec.bbmrq(alpha, nonstandard_alpha=True), s, x0, x1)
+        width, sizes, counts, clipped, a, b = cdf_analysis._pieces(*args)
+        values = output_entropy(*args), lp_error_exact(*args, 1.5)
+        reversed_pieces = (width, sizes[::-1], counts[::-1], clipped[::-1], a[::-1], b[::-1])
+        monkeypatch.setattr(cdf_analysis, "_pieces", lambda *_: reversed_pieces)
+        assert (output_entropy(*args), lp_error_exact(*args, 1.5)) == values
+
 
 class TestFloat64Edges:
     """Windows at the edges of float64 give a finite value or DomainError,

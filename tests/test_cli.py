@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mrquant import QuantizerSpec, Scheme, quantize
+from mrquant import SUITE_NAMES, QuantizerSpec, Scheme, quantize
 from mrquant.cli import main
 
 # Golden relay inputs are checked at the resolution of the data, not of
@@ -524,7 +524,7 @@ class TestRelayCommand:
 
 
 class TestVerifyCommand:
-    LINE = re.compile(r"(PASS|FAIL) [a-z0-9_.()/]+( value=\S+)? :: .+")
+    LINE = re.compile(r"(PASS|FAIL) ([a-z0-9_.()/]+) value=(\S+) :: in \[(\S+), (\S+)\]; .+")
     SUMMARY = re.compile(r"\d+ passed, \d+ failed \(seed \d+\)")
 
     def test_converse_suite_passes(self):
@@ -536,11 +536,21 @@ class TestVerifyCommand:
         assert lines[-1].endswith("0 failed (seed 42)")
 
     def test_line_format_is_stable(self):
-        _, out, _ = run_cli(["verify", "--suite", "mrq"])
-        lines = out.strip().splitlines()
-        assert len(lines) >= 2
-        for line in lines[:-1]:
-            assert self.LINE.fullmatch(line), line
+        # every line of every suite carries its value and bound, and reads
+        # PASS exactly when the value lies in the bound
+        for suite in SUITE_NAMES:
+            code, out, _ = run_cli(["verify", "--suite", suite])
+            *lines, summary = out.strip().splitlines()
+            assert lines, suite
+            failed = 0
+            for line in lines:
+                match = self.LINE.fullmatch(line)
+                assert match, line
+                status, _, value, lo, hi = match.groups()
+                assert (status == "PASS") == (float(lo) <= float(value) <= float(hi)), line
+                failed += status == "FAIL"
+            assert summary == f"{len(lines) - failed} passed, {failed} failed (seed 42)"
+            assert code == (3 if failed else 0)
 
     def test_known_failures_set_exit_code_3(self):
         code, out, _ = run_cli(["verify", "--suite", "scale"])

@@ -744,6 +744,10 @@ class TestQuantizeMany:
             (10**400, 1.0, numbers),
             (1.0, np.array([1 + 1j]), numbers),  # a cast would drop the imaginary part
             (np.complex128(1.0), 1.0, numbers),
+            (True, 0.3, numbers),  # a cast would read a bool as 1.0 or 0.0
+            (np.bool_(True), 0.3, numbers),
+            (1.0, np.array([True, False]), numbers),
+            (np.ones(2, dtype=bool), [0.3, 0.4], numbers),
             ([0.5, None], [1.0, 2.0], steps),  # None converts to nan
             (np.ones(3), np.ones(4), "do not broadcast"),
             (np.ones((2, 1)), np.ones(3), "do not broadcast"),

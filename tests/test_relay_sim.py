@@ -9,6 +9,7 @@ is off by about 1.3e-17) already exceeds one ulp of the smallest target.
 import importlib
 import itertools
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -373,6 +374,15 @@ class TestCapacityToStep:
             capacity_to_step(UNIFORM, True)
         with pytest.raises(DomainError):
             capacity_to_step(UNIFORM, 4, (0.0, math.nan))
+
+    @pytest.mark.parametrize("spec", [UNIFORM, BMRQ, DBMRQ, BB6])
+    def test_a_capacity_past_float64_is_a_domain_error(self, spec):
+        # the search divides the width by k + 1, which has no float64 value
+        for k in (int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(DomainError, match=r"^capacity k must be an integer in \[2, "):
+                capacity_to_step(spec, k)
+            with pytest.raises(DomainError, match=r"^capacity k must be an integer in \[2, "):
+                run_chain(RelayChainConfig((k,), spec), 0.5)
 
 
 class TestRunChain:
