@@ -354,9 +354,15 @@ def _dyadic_level(spec: QuantizerSpec, s, x):
     xp = np if isinstance(s, np.ndarray) else math
     m = xp.frexp(s)[1] - 1  # exact, unlike log2 followed by floor
     if spec.scheme is Scheme.DBMRQ:
-        t = spec.dither_irrational * xp.floor(xp.ldexp(x, -(m + 1)))
-        m = m + (t - xp.floor(t) < 2.0 - 2.0 * (xp.ldexp(1.0, m) / s))
+        t = _dither_fraction(spec, xp.floor(xp.ldexp(x, -(m + 1))), xp)
+        m = m + (t < 2.0 - 2.0 * (xp.ldexp(1.0, m) / s))
     return m
+
+
+def _dither_fraction(spec: QuantizerSpec, j, xp=np):
+    """The dithered fraction of the DBMRQ pair of index ``j``, which merges below the fill."""
+    t = spec.dither_irrational * j
+    return t - xp.floor(t)
 
 
 def _dyadic_path(j: int, m: int) -> PathCode:
@@ -652,6 +658,10 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
     order.
     """
     try:
+        for v in (x, s):  # numpy would promote a bool inside a list or object array to 1.0
+            if not isinstance(v, np.ndarray) or v.dtype == object:
+                if any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat):
+                    raise TypeError("bool values")
         x, s = np.asarray(x), np.asarray(s)
         if x.dtype.kind in "bc" or s.dtype.kind in "bc":  # a cast reads True as 1.0, drops imaginary parts
             raise TypeError(f"{x.dtype} and {s.dtype} values")

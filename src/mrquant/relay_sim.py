@@ -7,15 +7,15 @@ requantizable families the whole chain collapses to a single quantization at
 the coarsest step; the plain uniform quantizer lacks that property, which is
 what the error comparison and the adversarial capacity experiment quantify.
 The error of a chain is averaged over a fixed midpoint grid on the domain,
-from the cells of the chain's first hop: every later hop sees only that
-hop's output, so the final output is constant on each of its cells.
+from the cells of the chain's first hop, whose output every later hop
+requantizes; a requantizable chain is that one hop at its coarsest step.
 
 Every scheme turns a capacity into a step by one rule, the smallest step
 whose level count over the domain is at most the capacity, found by the
 verified search of :func:`capacity_to_step`: a bisection on the count for
-the lattice schemes, a refinement of the nested partition for BBMRQ.  A
-closed form such as width/k holds only on domains aligned with the lattice
-and overshoots k elsewhere.
+uniform, a scan of octaves for the dyadic schemes, a refinement of the
+nested partition for BBMRQ.  A closed form such as width/k holds only on
+domains aligned with the lattice and overshoots k elsewhere.
 """
 
 from __future__ import annotations
@@ -31,14 +31,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cdf_analysis import count_levels
+from .cdf_analysis import _lattice_count, count_levels
 from .quantizers import (
     DomainError,
     QuantizerSpec,
     Scheme,
     _checked_window,
+    _dither_fraction,
+    _dyadic_level,
     _first_float,
     _integer,
+    _lattice_index,
     _listing_bounds,
     _real,
     _split,
@@ -125,17 +128,23 @@ def capacity_to_step(
 ) -> float:
     """Step bound for a link that can carry k distinct values.
 
-    For the lattice schemes, a bisection on (lo, width] down to adjacent
-    floats locates a step whose level count over the domain is at most k
-    while the float just below needs more; the count is verified before
-    returning.  A full-width step needs the fewest cells the scheme can
-    manage; ``lo`` starts at width/(k+1) and is halved until it needs more
-    than k cells, since a cell may be longer than the step (merged DBMRQ
-    cells reach twice it).  For the nested schemes the count only falls as
-    the step grows, so this is the smallest such step.  The uniform count
-    need not: on (0.35, 1.35) it rises from 9 to 10 as the step passes about
-    0.11667, so there the result is a verified threshold, not a proven
-    smallest step.
+    For uniform, a bisection on (lo, width] down to adjacent floats, from
+    ``lo = width/(k+1)`` halved until it needs more than k cells, returns a
+    verified threshold: at most k levels there, more at the float below.  It
+    need not be the smallest such step: on (0.35, 1.35) the uniform count
+    rises from 9 to 10 as the step passes about 0.11667.
+
+    BMRQ and DBMRQ scan powers of two from the one at or below width/(k+1)
+    (halved while it needs at most k cells) to the first, ``2**(m+1)``,
+    with at most k levels.  BMRQ's cells at a step s are the dyadic cells
+    of length ``2**floor(log2 s)``, so its count is constant on each octave
+    and ``2**(m+1)`` is the answer.  DBMRQ's count on ``[2**m, 2**(m+1))``
+    is the cells at ``2**m`` less the pairs of them wholly inside the window
+    whose dithered fraction lies below the fill ``2 - 2**(m+1)/s``, which
+    rises with s.  So with r = cells - k, the answer is the first float at
+    which the pair of the r-th smallest fraction merges, found by bisection
+    on that pair and verified by ``count_levels`` on both sides; where
+    ``_lattice_count`` cannot count the window, DBMRQ bisects as uniform.
 
     For BBMRQ the count can change only at a cell's float length, so the
     search refines the partition at step width, longest cells first, to the
@@ -156,7 +165,9 @@ def capacity_to_step(
 def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
     if spec.scheme is Scheme.BBMRQ:
         return _refined_step(spec, k, x0, x1)
-    return _bisected_step(spec, k, x0, x1)
+    if spec.scheme is Scheme.SIMPLE_UNIFORM:
+        return _bisected_step(spec, k, x0, x1)
+    return _dyadic_step(spec, k, x0, x1)
 
 
 def _uncoverable(spec: QuantizerSpec, k: int, x0: float, x1: float) -> DomainError:
@@ -181,6 +192,30 @@ def _bisected_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
             lo = mid
     if count_levels(spec, hi, x0, x1) > k:  # pragma: no cover - guarded above
         raise DomainError("level-count search failed to verify its result")
+    return hi
+
+
+def _dyadic_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
+    """The BMRQ and DBMRQ search of :func:`capacity_to_step`."""
+    lo = math.ldexp(1.0, math.frexp((x1 - x0) / (k + 1))[1] - 1)
+    while count_levels(spec, lo, x0, x1) <= k:
+        lo *= 0.5
+    while count_levels(spec, hi := 2.0 * lo, x0, x1) > k:
+        lo = hi
+    if spec.scheme is Scheme.DBMRQ:
+        counted = _lattice_count(spec, lo, x0, x1)  # no pair merges at lo, so counted[0] cells
+        if counted is None:
+            return _bisected_step(spec, k, x0, x1)
+        j0, m, r = _lattice_index(lo, x0)[0], math.frexp(lo)[1] - 1, counted[0] - k
+        # r of the pairs wholly inside must merge: the step is where the r-th by fraction does
+        pairs = np.arange((j0 + 1) // 2, (j0 + counted[0]) // 2, dtype=np.float64)
+        pair = math.ldexp(pairs[np.argpartition(_dither_fraction(spec, pairs), r - 1)[r - 1]], m + 1)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if _dyadic_level(spec, mid, pair) > m else (mid, hi)
+        if not count_levels(spec, hi, x0, x1) <= k < count_levels(spec, math.nextafter(hi, -math.inf), x0, x1):
+            raise DomainError("level-count search failed to verify its result")  # pragma: no cover
+    if hi > x1 - x0:
+        raise _uncoverable(spec, k, x0, x1)
     return hi
 
 
@@ -259,6 +294,13 @@ def _applied_steps(steps: Sequence[float]) -> List[Optional[float]]:
     return out
 
 
+def _hops(cfg: RelayChainConfig) -> Tuple[float, ...]:
+    """The steps a chain's output needs, ascending: the applied steps, or
+    for a requantizable scheme the coarsest alone."""
+    hops = tuple(s for s in _applied_steps(_chain_steps(cfg)) if s is not None)
+    return hops if cfg.spec.scheme is Scheme.SIMPLE_UNIFORM else hops[-1:]
+
+
 def run_chain(cfg: RelayChainConfig, x: float) -> RelayTrace:
     """Push one value through the chain, recording every hop's output."""
     x0, x1 = cfg.domain
@@ -294,22 +336,22 @@ def average_chain_error(
     """Mean of |final output - x|^p over the points x of the midpoint grid
     ``x0 + (i + 1/2) * width / grid_size`` on the domain.
 
-    The first hop's cells that hold grid points are listed once; each cell
-    owns the grid points from the first at or above its first float (see
-    :func:`~mrquant.quantizers._first_float`).  Later hops requantize the
-    cell levels only, and each point gets the final output of its cell: bit
-    for bit the hop-by-hop output of every point.  The library always uses
-    the default grid; ``grid_size`` stays for callers that check against a
-    smaller one.
+    A requantizable chain's output is, by the refinement identity, bit for
+    bit ``quantize`` at its coarsest step, so its cells are listed at that
+    step alone; a uniform chain's at its first hop, whose levels the later
+    hops requantize (see :func:`_hops`).  Each cell owns the grid points from
+    the first at or above its first float (see
+    :func:`~mrquant.quantizers._first_float`), and each point gets the final
+    output of its cell.  The library always uses the default grid;
+    ``grid_size`` stays for callers that check against a smaller one.
     """
     p, grid_size = _real(p, "p", "(0, inf)"), _integer(grid_size, "grid_size", 1)
     xs = _midpoint_grid(*cfg.domain, grid_size)
-    first, *later = _applied_steps(_chain_steps(cfg))
+    first, *later = _hops(cfg)
     lo, _, levels = _window_cells(cfg.spec, first, xs[0], math.nextafter(xs[-1], math.inf))
     starts = np.searchsorted(xs, _first_float(cfg.spec, lo))
     for s in later:
-        if s is not None:
-            levels = quantize_many(cfg.spec, s, levels)
+        levels = quantize_many(cfg.spec, s, levels)
     ys = np.repeat(levels, np.diff(starts, append=grid_size))
     ys -= xs  # in place: the one buffer as long as the grid
     np.abs(ys, out=ys)
@@ -340,14 +382,13 @@ def adversarial_ratio(
     base = average_chain_error(cfg, p)
     if base == 0.0:
         raise DomainError("baseline error is zero on the evaluation grid")
-    # Chains that apply the same steps have the same error: one evaluation each.
-    errors = {}
+    # Chains with the same hops have the same error: one evaluation each.
+    errors = {_hops(cfg): base}
     worst_cfg = cfg
     worst_ratio = 1.0
     for dec in _decrement_vectors(cfg.capacities, budget):
-        caps = tuple(k - d for k, d in zip(cfg.capacities, dec))
-        cand = replace(cfg, capacities=caps)
-        key = tuple(_applied_steps(_chain_steps(cand)))
+        cand = replace(cfg, capacities=tuple(k - d for k, d in zip(cfg.capacities, dec)))
+        key = _hops(cand)
         if key not in errors:
             errors[key] = average_chain_error(cand, p)
         ratio = errors[key] / base

@@ -2,6 +2,7 @@
 every public callable is in the argument contract, and the benchmark finds
 the names it wraps."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -69,6 +70,20 @@ def test_perfbench_wraps_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"mrquant.{module}"), attr)
     ]
     assert wraps and missing == []
+
+
+@pytest.mark.parametrize("module", ["workloads.py", "oracles.py"])
+def test_perfbench_imports_are_public_names(module):
+    # The benchmark imports these from the package namespace; a rename
+    # should fail here, not turn every benchmark run into run_failed.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / module).read_text()
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "mrquant"
+        for alias in node.names
+    ]
+    assert imported and sorted(set(imported) - set(mrquant.__all__)) == []
 
 
 def test_import_leaves_scipy_unloaded():

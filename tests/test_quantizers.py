@@ -748,6 +748,11 @@ class TestQuantizeMany:
             (np.bool_(True), 0.3, numbers),
             (1.0, np.array([True, False]), numbers),
             (np.ones(2, dtype=bool), [0.3, 0.4], numbers),
+            (1.0, [True, 0.3], numbers),  # numpy would promote a bool inside a list to 1.0
+            ([True, 1.0], [0.3, 0.4], numbers),
+            (1.0, [[0.3], [np.False_]], numbers),
+            (1.0, np.array([0.3, True], dtype=object), numbers),
+            (np.array([np.True_, 1.0], dtype=object), 0.3, numbers),
             ([0.5, None], [1.0, 2.0], steps),  # None converts to nan
             (np.ones(3), np.ones(4), "do not broadcast"),
             (np.ones((2, 1)), np.ones(3), "do not broadcast"),

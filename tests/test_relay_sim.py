@@ -354,6 +354,81 @@ class TestCapacityToStep:
         assert fresh_capacity_to_step(spec, k, 0.31, 1.29) == step
         assert count_levels(spec, step, 0.31, 1.29) <= k < count_levels(spec, math.nextafter(step, -math.inf), 0.31, 1.29)
 
+    def test_dyadic_search_matches_the_bisection_on_a_seeded_sweep(self):
+        # The scan of powers of two, with DBMRQ's one merge threshold, against
+        # the bisection on the count, which reaches adjacent floats: the same
+        # step or the same refusal on every case, and each step is minimal.
+        rng = np.random.default_rng(20261019)
+        stepped = 0
+        for i in range(2000):
+            spec = (BMRQ, DBMRQ)[i % 2]
+            scale = 10.0 ** rng.uniform(-5.0, 5.0)
+            x0 = scale * rng.uniform(-3.0, 3.0)
+            domain = (x0, x0 + scale * math.exp(rng.uniform(-2.0, 2.0)))
+            k = int(math.exp(rng.uniform(math.log(2.0), math.log(3001.0))))
+            expected = search_outcome(relay_sim._bisected_step, spec, k, domain)
+            step = search_outcome(fresh_capacity_to_step, spec, k, domain)
+            assert step == expected, (spec, k, domain)
+            if step is not DomainError:
+                assert count_levels(spec, math.nextafter(step, -math.inf), *domain) > k
+                stepped += 1
+        assert stepped >= 1900
+
+    @pytest.mark.parametrize("spec, tally", [(BMRQ, (60, 2, 18)), (DBMRQ, (61, 0, 19))], ids=["bmrq", "dbmrq"])
+    def test_dyadic_search_at_the_edges_of_float64(self, spec, tally):
+        # Offsets near 1e15, where a float is 0.125 from the next; subnormal
+        # widths; domains within four cells of 2^1023; domains straddling 0.
+        # Where the bisection returns a step the scan returns it too.  The
+        # bisection also raises where a probe above the answer meets a cell
+        # past float64, which the scan, stopping at its answer, may not meet.
+        def domains(rng):
+            for i in range(20):
+                w = 10.0 ** rng.uniform(-1.0, 1.5)
+                x0 = 1e15 + w * rng.uniform(0.0, 2.0)
+                yield (x0, x0 + w) if i % 2 else (-x0 - w, -x0)
+            for _ in range(20):
+                x0 = 5e-324 * int(rng.integers(-300, 300))
+                yield x0, x0 + 5e-324 * int(rng.integers(1, 400))
+            for i in range(20):
+                x1 = sys.float_info.max * rng.uniform(0.5, 1.0)
+                w = x1 * 10.0 ** rng.uniform(-3.0, -0.5)
+                yield (x1 - w, x1) if i % 2 else (-x1, w - x1)
+            for _ in range(20):
+                w = 10.0 ** rng.uniform(-5.0, 5.0)
+                x0 = -w * rng.uniform(0.01, 0.99)
+                yield x0, x0 + w
+
+        rng = np.random.default_rng(20261019)
+        counts = [0, 0, 0]  # same step, a step where the bisection raises, both raise
+        for domain in domains(rng):
+            k = int(rng.integers(2, 65))
+            expected = search_outcome(relay_sim._bisected_step, spec, k, domain)
+            step = search_outcome(fresh_capacity_to_step, spec, k, domain)
+            if expected is not DomainError:
+                assert step == expected, (k, domain)
+            if step is not DomainError:
+                at, below = (count_levels(spec, s, *domain) for s in (step, math.nextafter(step, -math.inf)))
+                assert at <= k < below, (k, domain)
+            counts[(expected is DomainError) + (step is DomainError)] += 1
+        assert tuple(counts) == tally
+
+    def test_dbmrq_search_bisects_where_the_lattice_count_cannot(self, monkeypatch):
+        # At 1e15 the spacing 0.125 is one ulp, so cells may hold no float
+        # and only the listing counts them; the threshold of the one pair
+        # does not apply, and the search falls back to the bisection.
+        bisected, bisect = [], relay_sim._bisected_step
+
+        def bisection(*args):
+            bisected.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(relay_sim, "_bisected_step", bisection)
+        for domain in [(1e15, 1e15 + 4.0), (-1e15 - 4.0, -1e15)]:
+            step = fresh_capacity_to_step(DBMRQ, 20, *domain)
+            assert bisected[-1] == (DBMRQ, 20, *domain)
+            assert step == math.nextafter(0.125, 1.0)
+            assert walked_counts(DBMRQ, step, domain) == (16, 32)
+
     def test_bbmrq_search_verifies_with_two_counts(self, monkeypatch):
         counted = []
 
@@ -569,6 +644,30 @@ class TestAverageChainError:
             return
         assert average_chain_error(cfg, p, grid_size) == expected
 
+    @pytest.mark.parametrize("spec", SWEEP_SPECS[1:], ids=SWEEP_IDS[1:])
+    def test_hop_by_hop_is_one_hop_at_the_coarsest_step(self, spec):
+        # The collapse the error average rests on: every grid point
+        # requantized hop by hop gives, bit for bit, the error of the one-hop
+        # chain whose capacity is the smallest, the chain's coarsest step.
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for _ in range(12):
+            caps = tuple(int(k) for k in rng.integers(2, 40, int(rng.integers(2, 4))))
+            x0 = float(rng.uniform(-2.0, 2.0))
+            cfg = RelayChainConfig(caps, spec, domain=(x0, x0 + float(rng.uniform(0.5, 2.0))))
+            grid_size, p = int(2.0 ** rng.uniform(0.0, 15.0)), float(rng.choice([0.5, 1.0, 2.0]))
+            try:
+                expected = per_point_chain_error(cfg, p, grid_size)
+            except DomainError:  # a capacity too small for the domain
+                continue
+            one_hop = replace(cfg, capacities=(min(caps),))
+            assert capacity_to_step(spec, min(caps), cfg.domain) == max(
+                capacity_to_step(spec, k, cfg.domain) for k in caps
+            )
+            assert average_chain_error(one_hop, p, grid_size) == expected, (cfg, p, grid_size)
+            checked += 1
+        assert checked >= 10
+
     def test_validation(self):
         cfg = RelayChainConfig(capacities=(4,), spec=UNIFORM)
         with pytest.raises(DomainError):
@@ -654,18 +753,26 @@ class TestAdversarialRatio:
         ids=["bmrq", "bbmrq"],
     )
     def test_one_evaluation_per_distinct_chain(self, monkeypatch, cfg):
+        # A requantizable chain is one quantization at its coarsest step, so
+        # chains are distinct only by that step, and the baseline's error
+        # serves every candidate that shares its step.
         evaluated = []
 
         def counted(chain, p, *args):
             evaluated.append(chain.capacities)
             return average_chain_error(chain, p, *args)
 
+        def coarsest(caps):
+            return max(s for s in applied_steps(cfg, caps) if s is not None)
+
         monkeypatch.setattr(relay_sim, "average_chain_error", counted)
         worst, ratio = adversarial_ratio(cfg, 2)
         candidates = list(candidate_capacities(cfg.capacities, 2))
-        distinct = {applied_steps(cfg, caps) for caps in candidates}
-        assert len(distinct) < len(candidates)
-        assert len(evaluated) == 1 + len(distinct)
+        distinct = {coarsest(caps) for caps in candidates}
+        assert len(distinct) < len({applied_steps(cfg, caps) for caps in candidates}) < len(candidates)
+        assert coarsest(cfg.capacities) in distinct
+        assert evaluated[0] == cfg.capacities
+        assert sorted(map(coarsest, evaluated)) == sorted(distinct)
 
         base = average_chain_error(cfg, 1.0)
         expected_cfg, expected_ratio = cfg, 1.0
