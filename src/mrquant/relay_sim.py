@@ -387,7 +387,8 @@ def adversarial_ratio(
     worst_cfg = cfg
     worst_ratio = 1.0
     for dec in _decrement_vectors(cfg.capacities, budget):
-        cand = replace(cfg, capacities=tuple(k - d for k, d in zip(cfg.capacities, dec)))
+        caps = tuple(k - d for k, d in zip(cfg.capacities, dec))
+        cand = replace(cfg, capacities=caps)
         key = _hops(cand)
         if key not in errors:
             errors[key] = average_chain_error(cand, p)
