@@ -206,12 +206,10 @@ class _Window(NamedTuple):
     listed: np.ndarray
 
 
-def _window_kernel(
-    spec: QuantizerSpec, s: float, x0: float, x1: float, points: float
-) -> _Window:
+def _window_kernel(spec: QuantizerSpec, s: float, x0: float, x1: float) -> _Window:
     """The cells of the window ``[x0, x1)`` at step ``s``, checked by
-    :func:`~mrquant.quantizers._window_args` (``points`` shortest cells
-    long): whole cells by size class, end cells one by one.
+    :func:`~mrquant.quantizers._window_args` with room for ``2**62``
+    shortest cells: whole cells by size class, end cells one by one.
 
     * SIMPLE_UNIFORM, BMRQ, DBMRQ: the cells of ``x0`` and of the last float
       below ``x1`` come from the vector rule; the whole cells between them
@@ -227,10 +225,8 @@ def _window_kernel(
 
     A class size is the real length of its cells, computed from the length
     of a node; it is within :func:`_class_table`'s margin of each cell's
-    float length.  At most ``2**62`` shortest cells may fit in the window.
+    float length.
     """
-    if not points <= 2.0 ** 62:
-        raise DomainError(f"[{x0}, {x1}) at step {s} holds too many cells to count")
     if spec.scheme is Scheme.BBMRQ:
         return _biased_window(spec, s, x0, x1)
     counted = _lattice_window(spec, s, x0, x1)
@@ -479,8 +475,8 @@ def _pieces(
     width, the kernel's size classes, and its one-by-one cells that meet
     the window in positive length, as their clipped lengths and the clipped
     range's ends relative to the level."""
-    s, x0, x1, points = _window_args(spec, s, x0, x1)
-    win = _window_kernel(spec, s, x0, x1, points)
+    s, x0, x1, _ = _window_args(spec, s, x0, x1, 2.0 ** 62)
+    win = _window_kernel(spec, s, x0, x1)
     top, bottom = np.minimum(win.hi, x1), np.maximum(win.lo, x0)
     clipped = top - bottom
     keep = clipped > 0.0
@@ -638,12 +634,12 @@ def count_levels(spec: QuantizerSpec, s: float, x0: float, x1: float) -> int:
     integral ``(x1 - x0) * integral of 1/size dF`` evaluated in exact
     rational arithmetic.
     """
-    s, x0, x1, points = _window_args(spec, s, x0, x1)
+    s, x0, x1, _ = _window_args(spec, s, x0, x1, 2.0 ** 62)
     if spec.scheme is not Scheme.BBMRQ:
         counted = _lattice_count(spec, s, x0, x1)
         if counted is not None:
             return counted[0]
-    win = _window_kernel(spec, s, x0, x1, points)
+    win = _window_kernel(spec, s, x0, x1)
     return int(win.counts.sum()) + int(np.count_nonzero(win.listed))
 
 

@@ -688,32 +688,23 @@ def quantize_many(spec: QuantizerSpec, s, x) -> np.ndarray:
 
 
 def _window_args(
-    spec: QuantizerSpec, s: float, x0: float, x1: float
-) -> Tuple[float, float, float, float]:
-    """The checked floats ``(s, x0, x1)`` and the window's length in the
-    shortest cells the scheme can have, ``min(alpha, 1 - alpha) * s`` for
-    BBMRQ and ``s / 2`` otherwise.  It comes from ``(x1 - x0) / s``, so no
-    underflowed cell length divides it; it bounds the window's cell count.
+    spec: QuantizerSpec, s: float, x0: float, x1: float, most: float = _MAX_CELLS
+) -> Tuple[float, float, float, int]:
+    """The checked floats ``(s, x0, x1)`` and the window's grid size, one
+    point per shortest cell plus one.  The shortest cell the scheme can have
+    is ``min(alpha, 1 - alpha) * s`` for BBMRQ and ``s / 2`` otherwise; the
+    window's length in such cells comes from ``(x1 - x0) / s``, so no
+    underflowed cell length divides it.  As it bounds the window's cells, it
+    may not exceed ``most``: :data:`_MAX_CELLS` for a listing, ``2**62`` for
+    a count by size class.
     """
     s, x0, x1 = _real(s, "step bound s", "(0, inf)"), _real(x0, "x0"), _real(x1, "x1")
     if not x0 < x1:
         raise DomainError(f"need x0 < x1, got [{x0!r}, {x1!r})")
     shortest = min(spec.alpha, 1.0 - spec.alpha) if spec.scheme is Scheme.BBMRQ else 0.5
-    return s, x0, x1, (x1 - x0) / s / shortest
-
-
-def _checked_window(
-    spec: QuantizerSpec, s: float, x0: float, x1: float
-) -> Tuple[float, float, float, int]:
-    """:func:`_window_args` for a listing: the checked floats and the
-    window's grid size, one point per shortest cell plus one, which as it
-    bounds the cells too may not exceed :data:`_MAX_CELLS`.
-    """
-    s, x0, x1, points = _window_args(spec, s, x0, x1)
-    if not points <= _MAX_CELLS:
-        raise DomainError(
-            f"enumerating [{x0}, {x1}) at step {s} would exceed {_MAX_CELLS} cells"
-        )
+    points = (x1 - x0) / s / shortest
+    if not points <= most:
+        raise DomainError(f"[{x0}, {x1}) at step {s} would exceed {most:.0f} cells")
     return s, x0, x1, math.floor(points) + 1
 
 
@@ -744,7 +735,7 @@ def enumerate_cells(spec: QuantizerSpec, s: float, x0: float, x1: float) -> List
     one ends -- one ulp further past the upper end of a mirrored BBMRQ cell,
     which that cell contains -- until a cell reaches ``x1``.
     """
-    s, x0, x1, _ = _checked_window(spec, s, x0, x1)
+    s, x0, x1, _ = _window_args(spec, s, x0, x1)
     mirrors = spec.scheme is Scheme.BBMRQ
     cells = [cell_of(spec, s, x0)]
     while cells[-1].hi < x1:
@@ -764,7 +755,7 @@ def _window_cells(
     that falls short of ``x1``, until no gap is left; a cell's first float
     comes from :func:`_first_float`.
     """
-    s, x0, x1, n = _checked_window(spec, s, x0, x1)
+    s, x0, x1, n = _window_args(spec, s, x0, x1)
     grid = x0 + (x1 - x0) / n * np.arange(n)
     grid = np.append(grid[grid < x1], math.nextafter(x1, -math.inf))
     lo, hi, level = _cells_many(spec, np.broadcast_to(s, grid.shape), grid)

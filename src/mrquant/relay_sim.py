@@ -10,12 +10,12 @@ The error of a chain is averaged over a fixed midpoint grid on the domain,
 from the cells of the chain's first hop, whose output every later hop
 requantizes; a requantizable chain is that one hop at its coarsest step.
 
-Every scheme turns a capacity into a step by one rule, the smallest step
-whose level count over the domain is at most the capacity, found by the
-verified search of :func:`capacity_to_step`: a bisection on the count for
-uniform, a scan of octaves for the dyadic schemes, a refinement of the
-nested partition for BBMRQ.  A closed form such as width/k holds only on
-domains aligned with the lattice and overshoots k elsewhere.
+Every scheme turns a capacity into a step by one rule, a step with at most
+that many levels over the domain and more at the float below, found by the
+one search of :func:`capacity_to_step`: a bracket per scheme, a bisection
+down to adjacent floats, and a check by the count of a step from a proof.
+A closed form such as width/k holds only on domains aligned with the
+lattice and overshoots k elsewhere.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .quantizers import (
     DomainError,
     QuantizerSpec,
     Scheme,
-    _checked_window,
     _dither_fraction,
     _dyadic_level,
     _first_float,
@@ -45,6 +44,7 @@ from .quantizers import (
     _listing_bounds,
     _real,
     _split,
+    _window_args,
     _window_cells,
     quantize,
     quantize_many,
@@ -126,13 +126,16 @@ def _domain(domain: Tuple[float, float]) -> Tuple[float, float]:
 def capacity_to_step(
     spec: QuantizerSpec, k: int, domain: Tuple[float, float] = (0.0, 1.0)
 ) -> float:
-    """Step bound for a link that can carry k distinct values.
+    """Step bound for a link that can carry k distinct values: at most k
+    levels on the domain at the step, more at the float below.
 
-    For uniform, a bisection on (lo, width] down to adjacent floats, from
-    ``lo = width/(k+1)`` halved until it needs more than k cells, returns a
-    verified threshold: at most k levels there, more at the float below.  It
-    need not be the smallest such step: on (0.35, 1.35) the uniform count
-    rises from 9 to 10 as the step passes about 0.11667.
+    One search: a bracket ``(lo, hi]`` per scheme and one bisection to
+    adjacent floats.  A step a proof gives is checked by ``count_levels``
+    on both sides; a bisection on the count needs no check.  For uniform,
+    ``lo`` is width/(k+1) halved until it needs more than k cells, and
+    ``hi`` the width, halved near 2**1023 while a cell at it would leave
+    float64.  The step need not be the smallest with at most k levels: on
+    (0.35, 1.35) the count rises from 9 to 10 as the step passes 0.11667.
 
     BMRQ and DBMRQ scan powers of two from the one at or below width/(k+1)
     (halved while it needs at most k cells) to the first, ``2**(m+1)``,
@@ -142,17 +145,16 @@ def capacity_to_step(
     is the cells at ``2**m`` less the pairs of them wholly inside the window
     whose dithered fraction lies below the fill ``2 - 2**(m+1)/s``, which
     rises with s.  So with r = cells - k, the answer is the first float at
-    which the pair of the r-th smallest fraction merges, found by bisection
-    on that pair and verified by ``count_levels`` on both sides; where
-    ``_lattice_count`` cannot count the window, DBMRQ bisects as uniform.
+    which the pair of the r-th smallest fraction merges, a bisection on
+    that pair; where ``_lattice_count`` cannot count the window, DBMRQ
+    bisects the octave on the count.  A step above the width is refused.
 
     For BBMRQ the count can change only at a cell's float length, so the
     search refines the partition at step width, longest cells first, to the
-    first length L whose cells would exceed k just below it, and returns L
-    once ``count_levels`` confirms at most k levels at L and more at the
-    float below.  It raises DomainError where a split it needs cannot be
-    resolved in float64, and where the partition at width/(k+1) would exceed
-    the cell budget, or k + 1 has no float64 value.
+    first length L whose cells would exceed k just below it, and returns L.
+    It raises DomainError where a split it needs cannot be resolved in
+    float64, and where the partition at width/(k+1) would exceed the cell
+    budget, or k + 1 has no float64 value.
     """
     k = _integer(k, "capacity k", 2)
     if k > sys.float_info.max:  # the search divides by k + 1 in float64
@@ -163,60 +165,54 @@ def capacity_to_step(
 
 @lru_cache(maxsize=1024)
 def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
+    width, proved = x1 - x0, spec.scheme is Scheme.BBMRQ  # a step from a proof is checked
+
+    def fits(s: float) -> bool:
+        return count_levels(spec, s, x0, x1) <= k
+
     if spec.scheme is Scheme.BBMRQ:
-        return _refined_step(spec, k, x0, x1)
-    if spec.scheme is Scheme.SIMPLE_UNIFORM:
-        return _bisected_step(spec, k, x0, x1)
-    return _dyadic_step(spec, k, x0, x1)
+        lo = hi = _refined_step(spec, k, x0, x1)
+    elif spec.scheme is Scheme.SIMPLE_UNIFORM:
+        lo, hi, covered = width / (k + 1), width, None
+        while covered is None and hi > lo:
+            try:
+                covered = fits(hi)
+            except DomainError:  # near 2**1023 a cell at the top may leave float64
+                hi *= 0.5
+        if not covered:
+            raise _uncoverable(spec, k, x0, x1)
+        while fits(lo):
+            lo *= 0.5
+    else:
+        lo = math.ldexp(1.0, math.frexp(width / (k + 1))[1] - 1)
+        while fits(lo):
+            lo *= 0.5
+        while not fits(hi := 2.0 * lo):
+            lo = hi
+        if spec.scheme is Scheme.BMRQ:
+            lo = hi
+        elif (counted := _lattice_count(spec, lo, x0, x1)) is not None:  # no pair merges at lo
+            j0, m, r = _lattice_index(lo, x0)[0], math.frexp(lo)[1] - 1, counted[0] - k
+            # r of the pairs wholly inside must merge: the step is where the r-th by fraction does
+            pairs = np.arange((j0 + 1) // 2, (j0 + counted[0]) // 2, dtype=np.float64)
+            pair = math.ldexp(pairs[np.argpartition(_dither_fraction(spec, pairs), r - 1)[r - 1]], m + 1)
+            proved = True
+
+            def fits(s: float) -> bool:
+                return _dyadic_level(spec, s, pair) > m
+
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    below = math.nextafter(hi, -math.inf)
+    if proved and not count_levels(spec, hi, x0, x1) <= k < count_levels(spec, below, x0, x1):
+        raise DomainError("level-count search failed to verify its result")  # pragma: no cover
+    if hi > width:
+        raise _uncoverable(spec, k, x0, x1)
+    return hi
 
 
 def _uncoverable(spec: QuantizerSpec, k: int, x0: float, x1: float) -> DomainError:
     return DomainError(f"capacity {k} cannot cover [{x0}, {x1}) with {spec.scheme.value}")
-
-
-def _bisected_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
-    width = x1 - x0
-    lo = width / (k + 1)
-    hi = width
-    if count_levels(spec, hi, x0, x1) > k:
-        raise _uncoverable(spec, k, x0, x1)
-    while count_levels(spec, lo, x0, x1) <= k:
-        lo *= 0.5
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if count_levels(spec, mid, x0, x1) <= k:
-            hi = mid
-        else:
-            lo = mid
-    if count_levels(spec, hi, x0, x1) > k:  # pragma: no cover - guarded above
-        raise DomainError("level-count search failed to verify its result")
-    return hi
-
-
-def _dyadic_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
-    """The BMRQ and DBMRQ search of :func:`capacity_to_step`."""
-    lo = math.ldexp(1.0, math.frexp((x1 - x0) / (k + 1))[1] - 1)
-    while count_levels(spec, lo, x0, x1) <= k:
-        lo *= 0.5
-    while count_levels(spec, hi := 2.0 * lo, x0, x1) > k:
-        lo = hi
-    if spec.scheme is Scheme.DBMRQ:
-        counted = _lattice_count(spec, lo, x0, x1)  # no pair merges at lo, so counted[0] cells
-        if counted is None:
-            return _bisected_step(spec, k, x0, x1)
-        j0, m, r = _lattice_index(lo, x0)[0], math.frexp(lo)[1] - 1, counted[0] - k
-        # r of the pairs wholly inside must merge: the step is where the r-th by fraction does
-        pairs = np.arange((j0 + 1) // 2, (j0 + counted[0]) // 2, dtype=np.float64)
-        pair = math.ldexp(pairs[np.argpartition(_dither_fraction(spec, pairs), r - 1)[r - 1]], m + 1)
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (lo, mid) if _dyadic_level(spec, mid, pair) > m else (mid, hi)
-        if not count_levels(spec, hi, x0, x1) <= k < count_levels(spec, math.nextafter(hi, -math.inf), x0, x1):
-            raise DomainError("level-count search failed to verify its result")  # pragma: no cover
-    if hi > x1 - x0:
-        raise _uncoverable(spec, k, x0, x1)
-    return hi
 
 
 def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
@@ -228,7 +224,7 @@ def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
     in positive coordinates with the side of zero they lie on; a child the
     walk of :func:`~mrquant.quantizers.enumerate_cells` would not list is
     dropped.  Splitting stops at the first L whose split partition has more
-    than k cells, and the count is verified on both sides of it.
+    than k cells.
 
     It raises DomainError where a split it needs cannot be resolved, and,
     before any split, where the partition at ``width / (k + 1)`` would
@@ -238,7 +234,7 @@ def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
     lo, hi, _ = _window_cells(spec, width, x0, x1)
     if lo.size > k:
         raise _uncoverable(spec, k, x0, x1)
-    _checked_window(spec, width / (k + 1), x0, x1)  # the cell budget, before any splitting
+    _window_args(spec, width / (k + 1), x0, x1)  # the cell budget, before any splitting
     pows, alpha = spec._powers, spec.alpha
     bounds = _listing_bounds(x0, x1)
     base = pows.largest_exponent_above(width) + 1  # the base leaf is [0, alpha**base)
@@ -265,10 +261,6 @@ def _refined_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
                         todo.append(child)
                     else:
                         heapq.heappush(heap, child)
-    if not count_levels(spec, longest, x0, x1) <= k < count_levels(
-        spec, math.nextafter(longest, -math.inf), x0, x1
-    ):  # pragma: no cover - the refinement counts the cells the listing counts
-        raise DomainError("level-count search failed to verify its result")
     return longest
 
 

@@ -78,11 +78,12 @@ def applied_steps(cfg, caps):
 
 
 def bisected_step(spec, k, x0, x1):
-    """The capacity search by bisection on the level count, which every
-    scheme once used: the oracle of the BBMRQ search, which must return its
-    step bit for bit wherever it returns one.  Where a probe below the
-    answer meets a split float64 cannot resolve, the bisection raises
-    DomainError; the refinement, which stops at its answer, may not."""
+    """The capacity search by bisection on the level count down to adjacent
+    floats, which every scheme once used: the oracle of the dyadic and BBMRQ
+    searches, which must return its step bit for bit wherever it returns
+    one.  Where a probe below the answer meets a split float64 cannot
+    resolve, the bisection raises DomainError; the refinement, which stops
+    at its answer, may not."""
     width = x1 - x0
     lo = width / (k + 1)
     hi = width
@@ -90,7 +91,7 @@ def bisected_step(spec, k, x0, x1):
         raise DomainError(f"capacity {k} cannot cover [{x0}, {x1})")
     while count_levels(spec, lo, x0, x1) <= k:
         lo *= 0.5
-    for _ in range(60):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -352,35 +353,38 @@ class TestCapacityToStep:
     def test_lattice_search_bisects_down_to_adjacent_floats(self, spec, k, step):
         # These need 62 to 65 halvings; a fixed 60 stopped a few ulps above.
         assert fresh_capacity_to_step(spec, k, 0.31, 1.29) == step
+        assert bisected_step(spec, k, 0.31, 1.29) == step
         assert count_levels(spec, step, 0.31, 1.29) <= k < count_levels(spec, math.nextafter(step, -math.inf), 0.31, 1.29)
 
-    def test_dyadic_search_matches_the_bisection_on_a_seeded_sweep(self):
-        # The scan of powers of two, with DBMRQ's one merge threshold, against
-        # the bisection on the count, which reaches adjacent floats: the same
-        # step or the same refusal on every case, and each step is minimal.
+    def test_lattice_search_matches_the_bisection_on_a_seeded_sweep(self):
+        # Uniform's bracket, and the scan of powers of two with DBMRQ's one
+        # merge threshold, against the bisection on the count: the same step
+        # or the same refusal on every case, and more than k levels at the
+        # float below each step.
         rng = np.random.default_rng(20261019)
         stepped = 0
-        for i in range(2000):
-            spec = (BMRQ, DBMRQ)[i % 2]
+        for i in range(3000):
+            spec = (BMRQ, DBMRQ, UNIFORM)[i % 3]
             scale = 10.0 ** rng.uniform(-5.0, 5.0)
             x0 = scale * rng.uniform(-3.0, 3.0)
             domain = (x0, x0 + scale * math.exp(rng.uniform(-2.0, 2.0)))
             k = int(math.exp(rng.uniform(math.log(2.0), math.log(3001.0))))
-            expected = search_outcome(relay_sim._bisected_step, spec, k, domain)
+            expected = search_outcome(bisected_step, spec, k, domain)
             step = search_outcome(fresh_capacity_to_step, spec, k, domain)
             assert step == expected, (spec, k, domain)
             if step is not DomainError:
                 assert count_levels(spec, math.nextafter(step, -math.inf), *domain) > k
                 stepped += 1
-        assert stepped >= 1900
+        assert stepped >= 2850
 
-    @pytest.mark.parametrize("spec, tally", [(BMRQ, (60, 2, 18)), (DBMRQ, (61, 0, 19))], ids=["bmrq", "dbmrq"])
+    @pytest.mark.parametrize("spec, tally", [(BMRQ, (60, 2, 18)), (DBMRQ, (61, 2, 17))], ids=["bmrq", "dbmrq"])
     def test_dyadic_search_at_the_edges_of_float64(self, spec, tally):
         # Offsets near 1e15, where a float is 0.125 from the next; subnormal
         # widths; domains within four cells of 2^1023; domains straddling 0.
-        # Where the bisection returns a step the scan returns it too.  The
+        # Where the bisection returns a step the search returns it too.  The
         # bisection also raises where a probe above the answer meets a cell
-        # past float64, which the scan, stopping at its answer, may not meet.
+        # past float64, which the search, bracketing the answer's octave from
+        # below, may not meet.
         def domains(rng):
             for i in range(20):
                 w = 10.0 ** rng.uniform(-1.0, 1.5)
@@ -402,7 +406,7 @@ class TestCapacityToStep:
         counts = [0, 0, 0]  # same step, a step where the bisection raises, both raise
         for domain in domains(rng):
             k = int(rng.integers(2, 65))
-            expected = search_outcome(relay_sim._bisected_step, spec, k, domain)
+            expected = search_outcome(bisected_step, spec, k, domain)
             step = search_outcome(fresh_capacity_to_step, spec, k, domain)
             if expected is not DomainError:
                 assert step == expected, (k, domain)
@@ -412,24 +416,37 @@ class TestCapacityToStep:
             counts[(expected is DomainError) + (step is DomainError)] += 1
         assert tuple(counts) == tally
 
+    def test_uniform_search_below_a_top_past_float64(self):
+        # At step width the cell of x0 would end past float64, so the search
+        # halves the top of its bracket until the count can be taken there.
+        domain = (-1.743025249500593e308, -1.464019291906702e308)
+        with pytest.raises(DomainError, match="not representable in float64"):
+            count_levels(UNIFORM, domain[1] - domain[0], *domain)
+        step = fresh_capacity_to_step(UNIFORM, 51, *domain)
+        assert step == 5.5159026882930154e305
+        assert count_levels(UNIFORM, step, *domain) == 51
+        assert count_levels(UNIFORM, math.nextafter(step, -math.inf), *domain) == 52
+
     def test_dbmrq_search_bisects_where_the_lattice_count_cannot(self, monkeypatch):
         # At 1e15 the spacing 0.125 is one ulp, so cells may hold no float
         # and only the listing counts them; the threshold of the one pair
-        # does not apply, and the search falls back to the bisection.
-        bisected, bisect = [], relay_sim._bisected_step
+        # does not apply, and the search bisects on the count instead.
+        def fraction(*args):
+            raise AssertionError("looked for the pair threshold")
 
-        def bisection(*args):
-            bisected.append(args)
-            return bisect(*args)
-
-        monkeypatch.setattr(relay_sim, "_bisected_step", bisection)
+        monkeypatch.setattr(relay_sim, "_dither_fraction", fraction)
         for domain in [(1e15, 1e15 + 4.0), (-1e15 - 4.0, -1e15)]:
             step = fresh_capacity_to_step(DBMRQ, 20, *domain)
-            assert bisected[-1] == (DBMRQ, 20, *domain)
             assert step == math.nextafter(0.125, 1.0)
             assert walked_counts(DBMRQ, step, domain) == (16, 32)
 
-    def test_bbmrq_search_verifies_with_two_counts(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec, most", [(UNIFORM, 61), (BMRQ, 3), (DBMRQ, 5), (BB6, 2)], ids=["uniform", "bmrq", "dbmrq", "bbmrq"]
+    )
+    def test_cold_search_probes_on_relay_domains(self, monkeypatch, spec, most):
+        # The count_levels probes of one cold search on domains like those of
+        # a relay chain stay within what the searches took when these bounds
+        # were set; BBMRQ's are the two counts that verify its refinement.
         counted = []
 
         def counting(*args):
@@ -437,8 +454,15 @@ class TestCapacityToStep:
             return count_levels(*args)
 
         monkeypatch.setattr(relay_sim, "count_levels", counting)
-        s = fresh_capacity_to_step(BB6, 33, 0.31, 1.29)
-        assert counted == [s, math.nextafter(s, -math.inf)]
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            x0 = rng.uniform(0.0, 1.0)
+            domain = (x0, x0 + rng.uniform(0.8, 1.25))
+            counted.clear()
+            s = fresh_capacity_to_step(spec, int(rng.integers(6, 37)), *domain)
+            assert len(counted) <= most, domain
+            if spec is BB6:
+                assert counted == [s, math.nextafter(s, -math.inf)]
 
     def test_validation(self):
         with pytest.raises(DomainError):
