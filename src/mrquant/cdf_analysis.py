@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -206,10 +207,19 @@ class _Window(NamedTuple):
     listed: np.ndarray
 
 
+@lru_cache(maxsize=1)
 def _window_kernel(spec: QuantizerSpec, s: float, x0: float, x1: float) -> _Window:
     """The cells of the window ``[x0, x1)`` at step ``s``, checked by
     :func:`~mrquant.quantizers._window_args` with room for ``2**62``
     shortest cells: whole cells by size class, end cells one by one.
+
+    The kernel keeps the last window it built, so the functionals asked in
+    turn about one window share one walk; an error is raised again on every
+    call.  Its arrays are read-only, so the kept window is safe to share
+    between callers and threads.  They stay in memory until the next
+    window, at most the :data:`~mrquant.quantizers._MAX_CELLS` cells of a
+    listed lattice window.  A window from ``-0.0`` shares the entry of the
+    one from ``0.0``, so both are built from ``0.0``.
 
     * SIMPLE_UNIFORM, BMRQ, DBMRQ: the cells of ``x0`` and of the last float
       below ``x1`` come from the vector rule; the whole cells between them
@@ -227,13 +237,14 @@ def _window_kernel(spec: QuantizerSpec, s: float, x0: float, x1: float) -> _Wind
     of a node; it is within :func:`_class_table`'s margin of each cell's
     float length.
     """
-    if spec.scheme is Scheme.BBMRQ:
-        return _biased_window(spec, s, x0, x1)
-    counted = _lattice_window(spec, s, x0, x1)
-    if counted is not None:
-        return counted
-    lo, hi, level = _window_cells(spec, s, x0, x1)
-    return _Window(np.empty(0), np.empty(0, np.int64), lo, hi, level, np.ones(lo.size, bool))
+    x0 += 0.0  # -0.0 + 0.0 is 0.0
+    win = (_biased_window if spec.scheme is Scheme.BBMRQ else _lattice_window)(spec, s, x0, x1)
+    if win is None:
+        lo, hi, level = _window_cells(spec, s, x0, x1)
+        win = _Window(np.empty(0), np.empty(0, np.int64), lo, hi, level, np.ones(lo.size, bool))
+    for array in win:
+        array.flags.writeable = False
+    return win
 
 
 def _lattice_window(
@@ -494,7 +505,8 @@ def empirical_cell_cdf(spec: QuantizerSpec, s: float, x0: float, x1: float) -> S
     """Length-weighted cdf of clipped cell sizes over the window ``[x0, x1]``.
 
     Atoms are size classes: the cells wholly inside the window, counted by
-    class (see :func:`_window_kernel`), enter at their class's real length,
+    class (see :func:`_window_kernel`, whose last window the other window
+    functionals reuse), enter at their class's real length,
     within the margin ``M`` of :func:`_class_table` of each cell's float
     length (``M`` is about ``2**-52 * max(|x0|, |x1|) / min(alpha, 1 -
     alpha)``); lattice cells enter at ``2**m`` or at their mean length,
@@ -629,7 +641,8 @@ def count_levels(spec: QuantizerSpec, s: float, x0: float, x1: float) -> int:
     (see :func:`_lattice_count`); BBMRQ counts them by size class with
     :func:`_window_kernel`, which walks node by node only the window's
     boundary paths, and as arrays, a tree level at a time, the nodes whose
-    leaf status its classes cannot decide.  The test suite
+    leaf status its classes cannot decide, and keeps the window for the
+    other functionals asked about it next.  The test suite
     checks the count against the listing and against the level-count
     integral ``(x1 - x0) * integral of 1/size dF`` evaluated in exact
     rational arithmetic.

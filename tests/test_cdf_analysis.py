@@ -868,6 +868,95 @@ class TestWindowKernel:
         assert counted >= 54
 
 
+def window_functionals(spec, s, x0, x1, cold):
+    """The five window functionals' results as bits, each call after
+    clearing the kernel's memo if ``cold``."""
+    out = []
+    for functional in (
+        lambda: (lambda F: (F.breakpoints.tobytes(), F.masses.tobytes()))(empirical_cell_cdf(spec, s, x0, x1)),
+        lambda: count_levels(spec, s, x0, x1),
+        lambda: output_entropy(spec, s, x0, x1).hex(),
+        lambda: lp_error_exact(spec, s, x0, x1, 1.0).hex(),
+        lambda: lp_error_exact(spec, s, x0, x1, 2.0).hex(),
+    ):
+        if cold:
+            cdf_analysis._window_kernel.cache_clear()
+        out.append(functional())
+    return out
+
+
+def kernel_bits(spec, s, x0, x1):
+    cdf_analysis._window_kernel.cache_clear()
+    return [(array.dtype, array.tobytes()) for array in cdf_analysis._window_kernel(spec, s, x0, x1)]
+
+
+MEMO_SPECS = LATTICE_SPECS + [BB6]
+
+
+class TestWindowMemo:
+    """The kernel keeps the last window: a kept window gives every
+    functional the bits a fresh walk gives."""
+
+    @pytest.mark.parametrize(
+        "spec, s, x0, x1",
+        [(spec, 0.37, -5.2, 11.9) for spec in MEMO_SPECS]
+        + [
+            (BB6, 0.8, -20.3, 31.7),  # straddles 0: the mirrored side runs
+            (QuantizerSpec.dbmrq(), 1.5 * 0.99, -30.1, 70.3),  # a non-dyadic step: pairs merge
+            (QuantizerSpec.dbmrq(), 1.5, 2.0 ** 53, 2.0 ** 53 + 3000.0),  # _lattice_count gives None
+        ]
+        + [(spec, 0.37, x0, x1) for spec in MEMO_SPECS for x0, x1 in ((-3.3, 0.0), (-3.3, -0.0), (0.0, 3.3), (-0.0, 3.3))],
+    )
+    def test_warm_results_are_the_cold_ones(self, spec, s, x0, x1):
+        cold = window_functionals(spec, s, x0, x1, cold=True)
+        cdf_analysis._window_kernel.cache_clear()
+        assert window_functionals(spec, s, x0, x1, cold=False) == cold
+        assert window_functionals(spec, s, x0, x1, cold=False) == cold
+        assert cdf_analysis._window_kernel.cache_info().currsize <= 1
+
+    def test_the_listing_runs_where_the_lattice_count_cannot(self):
+        assert cdf_analysis._lattice_count(QuantizerSpec.dbmrq(), 1.5, 2.0 ** 53, 2.0 ** 53 + 3000.0) is None
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_signed_zero_ends_share_one_kernel(self, spec):
+        # -0.0 == 0.0, so the two windows of a pair share a memo entry: their
+        # kernels are the same bits, and either one kept serves the other.
+        pairs = [((-3.3, -0.0), (-3.3, 0.0)), ((-0.0, 3.3), (0.0, 3.3)), ((-0.0, 0.1), (0.0, 0.1))]  # the last one cell
+        for a, b in pairs:
+            assert kernel_bits(spec, 0.37, *a) == kernel_bits(spec, 0.37, *b)
+            for kept, asked in ((a, b), (b, a)):
+                cold = window_functionals(spec, 0.37, *asked, cold=True)
+                window_functionals(spec, 0.37, *kept, cold=False)
+                assert window_functionals(spec, 0.37, *asked, cold=False) == cold
+
+    def test_five_functionals_walk_each_side_once(self, monkeypatch):
+        sides, biased_side = [], cdf_analysis._biased_side
+
+        def side(spec, s, bounds, *rest):
+            sides.append(bounds)
+            return biased_side(spec, s, bounds, *rest)
+
+        monkeypatch.setattr(cdf_analysis, "_biased_side", side)
+        window_functionals(BB6, 0.8, -20.3, 31.7, cold=False)
+        assert len(sides) == 2 and sides[0] != sides[1]
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_kept_arrays_are_read_only(self, spec):
+        win = cdf_analysis._window_kernel(spec, 0.37, -5.2, 11.9)
+        for array in win:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert cdf_analysis._window_kernel(spec, 0.37, -5.2, 11.9) is win
+
+    def test_errors_are_raised_on_every_call(self):
+        # past the cell budget: nothing is kept, so each call walks and raises
+        s = cell_of(BB6, 1.0, 5e11).size
+        for _ in range(3):
+            with pytest.raises(DomainError, match="walk more than"):
+                count_levels(BB6, s, 0.0, 1e12)
+        assert cdf_analysis._window_kernel.cache_info()[:2] == (0, 3)  # no hit, three misses
+
+
 class TestLpError:
     def test_unit_dyadic_cells(self):
         assert lp_error_exact(QuantizerSpec.bmrq(), 1.0, 0.0, 1e4, 1.0) == pytest.approx(
