@@ -94,10 +94,6 @@ class StepCdf:
         idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=np.float64), side="right")
         return self._cum[idx]
 
-    def cdf_left(self, x) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=np.float64), side="left")
-        return self._cum[idx]
-
     def kinks(self) -> np.ndarray:
         return self.breakpoints
 
@@ -143,11 +139,16 @@ class BiasAlphaCdf:
         ) / h
         return np.where(x <= 0.0, 0.0, np.minimum(val, 1.0))
 
-    cdf_left = cdf  # continuous
-
     def kinks(self) -> np.ndarray:
-        a = self.alpha
-        return np.unique([min(a, 1.0 - a), max(a, 1.0 - a), 1.0])
+        return np.unique(self._logs()[0])
+
+    def _logs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The kinks, the cdf at each, and between each two the cdf's piece
+        ``p + q log2 x``: ``(k, v, p, q)``."""
+        lo, hi = sorted((self.alpha, 1.0 - self.alpha))
+        h = self.split_entropy
+        v, p = np.array([0.0, lo * math.log2(hi / lo) / h, 1.0]), np.array([-lo * math.log2(lo) / h, 1.0])
+        return np.array([lo, hi, 1.0]), v, p, np.array([lo, 1.0]) / h
 
 
 def TwoPowUnifCdf() -> BiasAlphaCdf:  # noqa: N802 - the law's long-standing name
@@ -528,52 +529,76 @@ def empirical_cell_cdf(spec: QuantizerSpec, s: float, x0: float, x1: float) -> S
 # Levy metric
 
 
-def _operand(F) -> CdfLike:
-    if not isinstance(F, (StepCdf, BiasAlphaCdf)):
+def _corners(F) -> Tuple[np.ndarray, np.ndarray]:
+    """The points ``(x, y)`` where the completed graph of F turns: both ends
+    of each atom's jump, or each kink of a closed form."""
+    if isinstance(F, StepCdf):
+        return np.repeat(F.breakpoints, 2), np.repeat(F._cum, 2)[1:-1]
+    if not isinstance(F, BiasAlphaCdf):
         raise DomainError(f"not a StepCdf or BiasAlphaCdf: {F!r}")
-    return F
+    return F._logs()[:2]
 
 
-def _exceeds(p: CdfLike, q: CdfLike, eps: float) -> bool:
-    """Whether ``p(x) - q(x + eps) > eps`` for some x (beyond 1e-12)."""
-    kp, kq = p.kinks(), q.kinks()
-    gaps = [p.cdf(kp) - q.cdf(kp + eps), p.cdf_left(kq - eps) - q.cdf_left(kq)]
-    if not (isinstance(p, StepCdf) or isinstance(q, StepCdf)):
-        # Between kinks both are c + d log2 x, so the gap is stationary only
-        # where d_p / x = d_q / (x + eps); equal slopes get x = 0, a gap <= 0.
-        slopes = [np.diff(F.cdf(k)) / np.diff(np.log2(k)) for F, k in ((p, kp), (q, kq))]
-        dp, dq = np.meshgrid(*slopes)
-        x = np.divide(dp * eps, dq - dp, out=np.zeros_like(dp), where=dp != dq)
-        gaps.append(p.cdf(x) - q.cdf(x + eps))
-    return any((gap - eps > 1e-12).any() for gap in gaps)
+def _height(F: CdfLike, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The height at which the completed graph of F meets the line ``x + y
+    = c`` through each point ``(x, y)``."""
+    if isinstance(F, StepCdf):  # on jump j, or the flat after it, (x - b_j) + y clipped
+        b, cum = F.breakpoints, F._cum
+        j = np.maximum(np.searchsorted(b + cum[:-1], x + y, side="right") - 1, 0)
+        return np.clip((x - b[j]) + y, cum[j], cum[j + 1])
+    k, v, p, q = F._logs()  # c - x for the root x on c's piece
+    c = x + y
+    j = np.clip(np.searchsorted(k + v, c, side="right") - 1, 0, 1)
+    return np.clip(c - _climb(k[j], p[j], q[j], c), 0.0, 1.0)
 
 
-def levy_distance(F, G, tol: float = 1e-4) -> float:
-    """Levy metric between two size cdfs, bisected to absolute accuracy tol.
+def _climb(x: np.ndarray, p, q, c) -> np.ndarray:
+    """The root of ``x + p + q log2 x = c``, ``q > 0``, by Newton's method
+    from ``x``.  The left side is concave and increasing, so from at or
+    below the root each tangent lands at or below it too, and the iterates
+    climb to it.  A start above the root stays put."""
+    while True:
+        step = x + (c - x - p - q * np.log2(x)) / (1.0 + q * LOG2E / x)
+        if not (step > x).any():
+            return x
+        x = np.maximum(step, x)
 
-    Each operand is a :class:`StepCdf` or a :class:`BiasAlphaCdf`: between
-    its kinks it is constant or ``c + d log2 x``.  An offset eps is feasible
-    unless ``p(x) - q(x + eps) > eps`` for some x, with (p, q) either way
-    round; that gap is largest at a kink of p, just below a kink of q
-    shifted by -eps (the left limits there), or, between two closed forms,
-    where their log2-slopes balance at ``x = d_p eps / (d_q - d_p)``.  Those
-    points are checked exactly; no grid is used.
+
+def _balance(f: BiasAlphaCdf, g: BiasAlphaCdf) -> Tuple[np.ndarray, np.ndarray]:
+    """Points ``(x, f(x))`` where the slopes ``q log2(e) / x`` of two closed
+    forms balance along a line, one for each pair of pieces with unequal q:
+    there ``x_g = r x_f``, ``r = q_g / q_f``, so ``x_f + q_f log2 x_f = q_f
+    (p_g - p_f + q_g log2 r) / (q_f - q_g)``.  A root off the pieces only
+    adds a line where the gap is smaller."""
+    k, _, pf, qf = f._logs()
+    _, _, pg, qg = g._logs()
+    i, j = np.nonzero(qf[:, None] != qg[None, :])
+    pf, qf, pg, qg = pf[i], qf[i], pg[j], qg[j]
+    x = _climb(k[i], 0.0, qf, qf * (pg - pf + qg * np.log2(qg / qf)) / (qf - qg))
+    return x, pf + qf * np.log2(x)
+
+
+def levy_distance(F, G) -> float:
+    """Levy metric between two size cdfs, exact: no bisection, no grid.
+
+    With each atom's jump filled in by a vertical segment, the graph of a
+    cdf meets each line ``x + y = c`` once, at ``(x_F(c), y_F(c))``, and
+    shifting it by ``(eps, -eps)`` moves that point by eps along the line.
+    So the distance is the supremum over c of ``|x_F(c) - x_G(c)| = |y_F(c)
+    - y_G(c)|``.  Each operand is a :class:`StepCdf` or a
+    :class:`BiasAlphaCdf`.  As c grows, a step cdf's y rises with slope 1 on
+    a jump and 0 on a flat, and a closed form's with slope ``G' / (1 +
+    G')``, in ``[0, 1)``; so on each piece of a step cdf the gap is
+    monotone, and it peaks on a line through a corner of either graph.
+    Between two closed forms it can also peak where the slopes balance
+    (:func:`_balance`).  Each line is kept as a point on it, not as the
+    rounded c, so a step cdf's height is not rounded to an ulp of c.
     """
-    f, g, tol = _operand(F), _operand(G), _real(tol, "tol", "(0, inf)")
-
-    def feasible(eps: float) -> bool:
-        return not (_exceeds(g, f, eps) or _exceeds(f, g, eps))
-
-    if feasible(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 0.5 * tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lines = [_corners(F), _corners(G)]
+    if isinstance(F, BiasAlphaCdf) and isinstance(G, BiasAlphaCdf):
+        lines += [_balance(F, G), _balance(G, F)]
+    x, y = map(np.concatenate, zip(*lines))
+    return float(np.abs(_height(F, x, y) - _height(G, x, y)).max())
 
 
 # ---------------------------------------------------------------------------

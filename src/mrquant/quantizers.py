@@ -133,12 +133,13 @@ def _real(v, name: str, bounds: str = "(-inf, inf)") -> float:
     raise DomainError(f"{name} must be a finite real in {bounds}, got {v!r}")
 
 
-def _integer(v, name: str, least: int) -> int:
+def _integer(v, name: str, least: float = -math.inf) -> int:
     """``v`` as a Python int, or DomainError unless it is a
     ``numbers.Integral`` other than a bool, at least ``least``."""
     if (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)) and v >= least:
         return int(v)
-    raise DomainError(f"{name} must be an integer in [{least}, inf), got {v!r}")
+    low = "(-inf" if least == -math.inf else f"[{least}"
+    raise DomainError(f"{name} must be an integer in {low}, inf), got {v!r}")
 
 
 class _AlphaPowers:
@@ -289,13 +290,18 @@ class PathCode:
     bits: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        bits = tuple(self.bits)
+        if {type(self.sign), type(self.base_level), *map(type, bits)} != {int}:
+            try:  # the integer rule, raising PathCodeError
+                object.__setattr__(self, "sign", _integer(self.sign, "sign"))
+                object.__setattr__(self, "base_level", _integer(self.base_level, "base_level"))
+                bits = tuple(_integer(b, "bits entry", 0) for b in bits)
+            except DomainError as exc:
+                raise PathCodeError(str(exc)) from None
+        object.__setattr__(self, "bits", bits)
         if self.sign not in (1, -1):
             raise PathCodeError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.base_level, int):
-            raise PathCodeError("base_level must be an integer")
-        bits = tuple(self.bits)
-        object.__setattr__(self, "bits", bits)
-        if any(b not in (0, 1) for b in bits):
+        if not set(bits) <= {0, 1}:
             raise PathCodeError(f"bits must be 0/1, got {bits!r}")
         if bits and bits[0] != 1:
             raise PathCodeError("a nonempty bit string must start with 1")

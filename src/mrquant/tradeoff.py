@@ -160,15 +160,18 @@ class SizeDensity:
 
     def __post_init__(self) -> None:
         try:
-            pieces = tuple((float(l), float(r), float(c), float(k)) for l, r, c, k in self.pieces)
-        except (TypeError, ValueError):
+            pieces = tuple(
+                (_real(l, "l of pieces", "(0, inf)"), _real(r, "r of pieces", "(0, inf)"),
+                 _real(c, "c of pieces", "[0, inf)"), _real(k, "k of pieces"))
+                for l, r, c, k in self.pieces
+            )
+        except DomainError:
+            raise
+        except (TypeError, ValueError):  # not an iterable of 4-tuples
             raise DomainError("pieces must be (l, r, c, k) tuples of reals") from None
         floors = [0.0] + [r for _, r, _, _ in pieces[:-1]]
-        if not pieces or not all(
-            floor <= l and 0.0 < l < r < math.inf and 0.0 <= c < math.inf and math.isfinite(k)
-            for floor, (l, r, c, k) in zip(floors, pieces)
-        ):
-            raise DomainError("pieces must be sorted, disjoint, 0 < l < r < inf, 0 <= c < inf, k finite")
+        if not pieces or not all(floor <= l < r for floor, (l, r, _, _) in zip(floors, pieces)):
+            raise DomainError("pieces must be nonempty, sorted and disjoint, each with l < r")
         object.__setattr__(self, "pieces", pieces)
 
     @property

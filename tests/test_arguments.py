@@ -1,6 +1,7 @@
 """The one argument rule: every scalar argument of the public API is a real
 (or an integer) other than a bool, stored and used as the Python float (or
-int) it equals; anything else raises DomainError.
+int) it equals; anything else raises DomainError, or PathCodeError for a
+field of a PathCode.
 
 ``CONTRACT`` lists each public function and constructor with each of its
 scalar parameters; ``tests/test_package.py`` checks that every callable the
@@ -19,10 +20,12 @@ from mrquant import (
     DbmrqAtomsCdf,
     DomainError,
     PathCode,
+    PathCodeError,
     QuantizerSpec,
     RelayChainConfig,
     RenewalConfig,
     Scheme,
+    SizeDensity,
     StepCdf,
     adversarial_ratio,
     average_chain_error,
@@ -34,7 +37,6 @@ from mrquant import (
     empirical_cell_cdf,
     encode_path,
     enumerate_cells,
-    levy_distance,
     lp_error_asymptotic,
     lp_error_exact,
     output_entropy,
@@ -67,6 +69,7 @@ class Arg(NamedTuple):
     call: Callable[[Any], Any]
     good: Any
     where: str = ""  # tells apart rows of one parameter
+    error: type = DomainError  # what a value the rule refuses raises
 
 
 CONTRACT = [
@@ -82,6 +85,9 @@ CONTRACT = [
     Arg("encode_path", "s", lambda v: encode_path(BMRQ, v, 0.7), 0.375),
     Arg("encode_path", "x", lambda v: encode_path(BMRQ, 0.375, v), -2.5),
     Arg("tree_interval", "alpha", lambda v: tree_interval(v, PathCode(1, 2, (1, 0))), 0.625),
+    Arg("PathCode", "sign", lambda v: PathCode(v, 2, (1, 0)), -1, error=PathCodeError),
+    Arg("PathCode", "base_level", lambda v: PathCode(1, v, (1, 0)), 3, error=PathCodeError),
+    Arg("PathCode", "bits", lambda v: PathCode(1, 2, (1, v)), 0, error=PathCodeError),
     Arg("enumerate_cells", "s", lambda v: enumerate_cells(BB6, v, -1.0, 3.0), 0.25),
     Arg("enumerate_cells", "x0", lambda v: enumerate_cells(BB6, 0.25, v, 3.0), -1.5),
     Arg("enumerate_cells", "x1", lambda v: enumerate_cells(BB6, 0.25, -1.0, v), 2.5),
@@ -102,7 +108,6 @@ CONTRACT = [
     Arg("lp_error_exact", "x0", lambda v: lp_error_exact(BB6, 0.25, v, 30.0, 1.5), -1.5),
     Arg("lp_error_exact", "x1", lambda v: lp_error_exact(BB6, 0.25, -1.0, v, 1.5), 20.5),
     Arg("lp_error_exact", "p", lambda v: lp_error_exact(BB6, 0.25, -1.0, 30.0, v), 1.5),
-    Arg("levy_distance", "tol", lambda v: levy_distance(STEP, LAW, v), 0.125),
     Arg("renyi_rate", "eta", lambda v: renyi_rate(LAW, v), 2.5),
     Arg("scale_shift_rate", "rate_at_unit_step", lambda v: scale_shift_rate(v, 3.0), 0.5),
     Arg("scale_shift_rate", "s", lambda v: scale_shift_rate(0.5, v), 3.0),
@@ -117,6 +122,10 @@ CONTRACT = [
     Arg("converse_bound", "p", converse_bound, 0.5),
     Arg("density_bound_slack", "y_grid", lambda v: density_bound_slack(LAW, [0.5, v]), 0.75),
     Arg("refinement_inequality_value", "zeta", lambda v: refinement_inequality_value(LAW, v), 1.5),
+    Arg("SizeDensity", "pieces", lambda v: SizeDensity(((v, 1.0, 1.5, -1.0),)), 0.5, "[l]"),
+    Arg("SizeDensity", "pieces", lambda v: SizeDensity(((0.5, v, 1.5, -1.0),)), 1.5, "[r]"),
+    Arg("SizeDensity", "pieces", lambda v: SizeDensity(((0.5, 1.0, v, -1.0),)), 1.5, "[c]"),
+    Arg("SizeDensity", "pieces", lambda v: SizeDensity(((0.5, 1.0, 1.5, v),)), -1.0, "[k]"),
     # relay_sim
     Arg("RelayChainConfig", "capacities", lambda v: RelayChainConfig((v, 3), BMRQ), 4),
     Arg("RelayChainConfig", "domain", lambda v: RelayChainConfig((4,), BMRQ, (v, 1.0)), 0.25, "[0]"),
@@ -140,14 +149,13 @@ EXEMPT = {
     "CapacityPolicy": "an enum with one member",
     "DomainError": "an exception",
     "PathCodeError": "an exception",
-    "PathCode": "a tree address whose fields have their own PathCodeError checks",
     "Cell": "a result record",
     "CheckResult": "a result record",
     "RateErrorPoint": "a result record",
     "RelayTrace": "a result record",
-    "SizeDensity": "its pieces have their own piece checks",
     "TwoPowUnifCdf": "takes no argument",
     "decode_path": "takes a PathCode only",
+    "levy_distance": "takes two cdfs only",
     "renewal_oracle_cdf": "takes a RenewalConfig only",
     "quantize_many": "takes arrays, checked by its own array rule",
 }
@@ -177,7 +185,7 @@ def test_what_is_no_real_is_a_domain_error(row):
     # one message format, naming the argument and its range
     message = rf"\b{row.param}\b[^,]* must be (a finite real|an integer) in [\[(][^,]+, [^,]+[)\]], got "
     for bad in BAD_INTEGERS if type(row.good) is int else BAD_REALS:
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(row.error, match=message):
             row.call(bad)
 
 

@@ -2,9 +2,9 @@
 
 Closed-form values are cross-checked against independent numerical
 integration of the densities (scipy, and mpmath at 50 digits where the
-float formulas cancel), the Levy bisection against a brute-force grid scan
-of the defining infimum, and the level-count integral against exact
-rational arithmetic.
+float formulas cancel), the exact Levy distance against a gridded
+bisection, a brute-force grid scan of the defining infimum and mpmath, and
+the level-count integral against exact rational arithmetic.
 """
 
 import bisect
@@ -115,9 +115,7 @@ class TestStepCdf:
     def test_evaluation_semantics(self):
         F = StepCdf(np.array([0.25, 0.5]), np.array([0.25, 0.75]))
         assert F.cdf(0.25) == 0.25  # right continuous at atoms
-        assert F.cdf_left(0.25) == 0.0
         assert F.cdf(0.5) == 1.0
-        assert F.cdf_left(0.5) == 0.25
         assert F.cdf(0.1) == 0.0 and F.cdf(9.0) == 1.0
         np.testing.assert_array_equal(F.cdf([0.25, 0.3, 0.5]), [0.25, 0.25, 1.0])
 
@@ -291,6 +289,60 @@ class TestEmpiricalCdf:
         assert lp_error_exact(*args, 1.0) == 0.0
 
 
+def rand_step(rng, most=6, twins=0.0):
+    """A step cdf of 1 to ``most - 1`` atoms on [0.2, 1.5); with probability
+    ``twins`` two of them get a one-ulp neighbour."""
+    bp = np.unique(rng.uniform(0.2, 1.5, rng.integers(1, most)))
+    if twins and rng.random() < twins:
+        bp = np.unique(np.concatenate((bp, np.nextafter(bp[:2], np.inf))))
+    m = rng.random(bp.size)
+    m /= m.sum()
+    m[-1] += 1.0 - math.fsum(m.tolist())
+    return StepCdf(bp, m)
+
+
+def bisected_bracket(F, G, rounds=50):
+    """``(lo, hi)`` from bisecting the defining check, at least one of F, G
+    a step cdf: eps is infeasible iff ``p(x) - q(x + eps) > eps`` for some
+    x, either way round, and that gap peaks at a kink of p or just below a
+    kink of q shifted by -eps.  ``lo`` stays infeasible and ``hi`` feasible."""
+
+    def left(D, x):  # the left limit of D at x
+        return D.cdf(np.nextafter(x, -np.inf))
+
+    def infeasible(p, q, eps):
+        kp, kq = p.kinks(), q.kinks()
+        return bool((p.cdf(kp) - q.cdf(kp + eps) > eps).any() or (left(p, kq - eps) - left(q, kq) > eps).any())
+
+    lo, hi = 0.0, 1.0
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        if infeasible(F, G, mid) or infeasible(G, F, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def mp_height(law, c):
+    """The height at which the closed form's graph meets ``x + y = c``, to
+    50 digits: the root of ``x + G(x) = c`` on the support, bracketed."""
+    with mpmath.workdps(50):
+        a, lo = mpmath.mpf(law.alpha), mpmath.mpf(min(law.alpha, 1.0 - law.alpha))
+        h = -a * mpmath.log(a, 2) - (1 - a) * mpmath.log(1 - a, 2)
+
+        def G(x):
+            return (a * max(mpmath.log(x / a, 2), 0) + (1 - a) * max(mpmath.log(x / (1 - a), 2), 0)) / h
+
+        c = mpmath.mpf(c)
+        if c <= lo:
+            return mpmath.mpf(0)
+        if c >= 2:
+            return mpmath.mpf(1)
+        x = mpmath.findroot(lambda x: x + G(x) - c, (lo, mpmath.mpf(1)), solver="anderson")
+        return c - x
+
+
 class TestLevyDistance:
     def test_identity(self):
         F = StepCdf(np.array([0.3, 0.8]), np.array([0.4, 0.6]))
@@ -300,9 +352,10 @@ class TestLevyDistance:
     def test_point_mass_pair(self):
         A = StepCdf(np.array([0.3]), np.array([1.0]))
         B = StepCdf(np.array([0.5]), np.array([1.0]))
-        assert levy_distance(A, B) == pytest.approx(0.2, abs=2e-4)
+        assert levy_distance(A, B) == pytest.approx(0.2, abs=1e-15)
 
     def test_matches_brute_force(self):
+        # brute_levy reads the first feasible eps of its 1e-4 grid
         rng = np.random.default_rng(3)
         xs = np.linspace(0.0, 2.0, 100_001)
         for _ in range(4):
@@ -312,33 +365,21 @@ class TestLevyDistance:
             m[-1] += 1.0 - math.fsum(m.tolist())
             F = StepCdf(bp, m)
             G = BiasAlphaCdf(0.6)
-            assert levy_distance(F, G) == pytest.approx(
-                brute_levy(F, G, xs), abs=3e-4
-            )
+            assert levy_distance(F, G) == pytest.approx(brute_levy(F, G, xs), abs=1e-4)
 
     def test_point_mass_against_smooth(self):
         # one atom at 1/2 against the log-uniform law; the binding constraint
         # is log2(1/2 + eps) + 1 >= 1 - eps, solvable independently
         F = StepCdf(np.array([0.5]), np.array([1.0]))
         root = brentq(lambda e: math.log2(0.5 + e) + e, 1e-12, 0.5)
-        assert levy_distance(F, TwoPowUnifCdf()) == pytest.approx(root, abs=2e-4)
+        assert levy_distance(F, TwoPowUnifCdf()) == pytest.approx(root, abs=1e-12)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(5)
-
-        def rand_step():
-            bp = np.unique(rng.uniform(0.2, 1.5, rng.integers(1, 6)))
-            m = rng.random(bp.size)
-            m /= m.sum()
-            m[-1] += 1.0 - math.fsum(m.tolist())
-            return StepCdf(bp, m)
-
         for _ in range(8):
-            A, B, C = rand_step(), rand_step(), rand_step()
-            assert levy_distance(A, B) == pytest.approx(levy_distance(B, A), abs=1e-4)
-            assert levy_distance(A, C) <= (
-                levy_distance(A, B) + levy_distance(B, C) + 2e-4
-            )
+            A, B, C = rand_step(rng), rand_step(rng), rand_step(rng)
+            assert levy_distance(A, B) == levy_distance(B, A)
+            assert levy_distance(A, C) <= levy_distance(A, B) + levy_distance(B, C) + 1e-12
 
     def test_bias_approaches_loguniform(self):
         tp = TwoPowUnifCdf()
@@ -349,45 +390,33 @@ class TestLevyDistance:
         assert d51 < d55 < d60
 
     def test_closed_forms_pin(self):
-        # Where the log2-slopes balance: without that candidate the check
-        # reads 0.0251617431640625; a 400 001-point grid agrees with this.
+        # Where the slopes balance: without that line the corners alone read
+        # 0.025169105883633802.  mpmath agrees (test_closed_pairs_match_mpmath).
         A, B = BiasAlphaCdf(0.7), BiasAlphaCdf(0.74)
-        assert levy_distance(A, B) == levy_distance(B, A) == 0.0252532958984375
-        assert gridded_levy(A, B) == 0.0252532958984375
+        assert levy_distance(A, B) == levy_distance(B, A) == pytest.approx(0.025248469503133975, abs=1e-15)
+        assert gridded_levy(A, B) == pytest.approx(levy_distance(A, B), abs=1e-4)
 
     def test_rejects_non_cdf(self):
         class DuckCdf:
-            cdf = cdf_left = BiasAlphaCdf(0.6).cdf
+            cdf = BiasAlphaCdf(0.6).cdf
             kinks = BiasAlphaCdf(0.6).kinks
 
         for other in (object(), DuckCdf()):
             with pytest.raises(DomainError):
                 levy_distance(BiasAlphaCdf(0.6), other)
-        for tol in ("x", math.inf, math.nan, 0.0, -1e-4):
-            with pytest.raises(DomainError):
-                levy_distance(BiasAlphaCdf(0.6), TwoPowUnifCdf(), tol)
+        with pytest.raises(TypeError):  # there is no tolerance to pass
+            levy_distance(BiasAlphaCdf(0.6), TwoPowUnifCdf(), 1e-4)
 
     def test_matches_the_gridded_check(self):
-        # Between two step cdfs the kinks are exhaustive, so the grid adds
-        # nothing: the same bisection, bit for bit.  Against a closed form
-        # the grid can miss the largest gap by a hair, so a window's cdf may
-        # come out one bisection step (2^-15 at tol 1e-4) away from it.
+        # gridded_levy bisects its own check to tol, so the exact value lies
+        # within tol of it: step against step, where the kinks make that
+        # check exact, and a window's cdf against its law.
         rng = np.random.default_rng(2026)
-
-        def rand_step():
-            bp = np.unique(rng.uniform(0.2, 1.5, rng.integers(1, 40)))
-            if rng.random() < 0.3:  # shared atoms, one-ulp neighbours
-                bp = np.unique(np.concatenate((bp, np.nextafter(bp[:2], np.inf))))
-            m = rng.random(bp.size)
-            m /= m.sum()
-            m[-1] += 1.0 - math.fsum(m.tolist())
-            return StepCdf(bp, m)
-
         for _ in range(25):
-            A, B = rand_step(), rand_step()
+            A, B = rand_step(rng, 40, 0.3), rand_step(rng, 40, 0.3)
             tol = float(10.0 ** rng.uniform(-9, -2))
-            assert levy_distance(A, B, tol) == gridded_levy(A, B, tol)
-            assert levy_distance(A, A.scaled(1.0 + 1e-9), tol) == gridded_levy(A, A.scaled(1.0 + 1e-9), tol)
+            for X, Y in ((A, B), (A, A.scaled(1.0 + 1e-9))):
+                assert abs(levy_distance(X, Y) - gridded_levy(X, Y, tol)) <= tol
         for _ in range(8):
             alpha = float(rng.uniform(0.51, 0.74))
             s = float(10.0 ** rng.uniform(-3.0, -1.0))
@@ -400,18 +429,65 @@ class TestLevyDistance:
             ):
                 F = empirical_cell_cdf(spec, s, x0, x1).scaled(1.0 / s)
                 for A, B in ((F, law), (law, F)):
-                    assert abs(levy_distance(A, B) - gridded_levy(A, B)) in (0.0, 2.0**-15), (spec, s, x0, x1)
+                    assert abs(levy_distance(A, B) - gridded_levy(A, B)) <= 1e-4, (spec, s, x0, x1)
+
+    def test_never_above_the_bisected_feasible_offset(self):
+        # The heights are exact to a few ulps of 1, so the exact value lies
+        # in the bracket of a 50-round bisection, within 2**-50.
+        rng = np.random.default_rng(2027)
+        for closed in (False, True):
+            for _ in range(300):
+                A = rand_step(rng, 40, 0.3)
+                B = BiasAlphaCdf(float(rng.uniform(0.51, 0.74))) if closed else rand_step(rng, 40, 0.3)
+                lo, hi = bisected_bracket(A, B)
+                assert lo - 2.0**-50 <= levy_distance(A, B) <= hi + 2.0**-50, (A, B)
+
+    def test_newton_heights_match_mpmath(self):
+        # below the support, on both log pieces, and past 1
+        for alpha in (0.51, 0.6, 0.74):
+            law = BiasAlphaCdf(alpha)
+            k = law.kinks()
+            c = np.concatenate((np.linspace(k[0] - 0.1, 2.1, 97), k + law.cdf(k)))
+            got = cdf_analysis._height(law, c, np.zeros_like(c))
+            pieces = np.searchsorted(k + law.cdf(k), c)
+            assert set(pieces.tolist()) == {0, 1, 2, 3}
+            for ci, yi in zip(c.tolist(), got.tolist()):
+                assert abs(yi - mp_height(law, ci)) <= 4e-16, (alpha, ci)
+
+    def test_closed_pairs_match_mpmath(self):
+        # The supremum over c of the height gap, by golden section in mpmath
+        # around the argmax of a dense scan: an interior peak where the
+        # slopes balance, or a corner.
+        for a, b in ((0.7, 0.74), (0.6, 0.5), (0.51, 0.55), (0.74, 0.51)):
+            A, B = BiasAlphaCdf(a), BiasAlphaCdf(b)
+            c = np.linspace(0.2, 2.1, 4001)
+            zero = np.zeros_like(c)
+            gap = np.abs(cdf_analysis._height(A, c, zero) - cdf_analysis._height(B, c, zero))
+            i = int(gap.argmax())
+            with mpmath.workdps(50):
+                def mp_gap(t):
+                    return abs(mp_height(A, t) - mp_height(B, t))
+
+                left, right = mpmath.mpf(c[max(i - 1, 0)]), mpmath.mpf(c[min(i + 1, c.size - 1)])
+                for _ in range(120):  # golden section on the peak's bracket
+                    m1, m2 = left + (right - left) * 0.382, left + (right - left) * 0.618
+                    if mp_gap(m1) < mp_gap(m2):
+                        left = m1
+                    else:
+                        right = m2
+                want = float(mp_gap(left))
+            assert abs(levy_distance(A, B) - want) <= 1e-15, (a, b)
 
     def test_dense_step_cdfs_are_checked_exactly(self):
         # Half the mass sits on one atom of a 30 001-atom grid; moving that
-        # atom right by 0.01 must show, however many atoms surround it.
+        # atom right by 0.01 must show, however many atoms surround it: the
+        # distance is the atom's float displacement.
         bp = np.linspace(1.0, 1000.0, 30_001)
         m = np.full(bp.size, 0.5 / (bp.size - 1))
         m[15_001] = 0.5
         moved = bp.copy()
         moved[15_001] += 0.01
-        d = levy_distance(StepCdf(bp, m), StepCdf(moved, m))
-        assert d == pytest.approx(0.01, abs=2e-4)
+        assert levy_distance(StepCdf(bp, m), StepCdf(moved, m)) == moved[15_001] - bp[15_001]
 
 
 class TestRenyiRates:
@@ -722,7 +798,7 @@ class TestWindowKernel:
                     continue
                 compared += 1
                 scale = math.ldexp(1.0, min(1023, 1 - math.frexp(s)[1]))
-                assert levy_distance(F.scaled(scale), cdf.scaled(scale), 1e-12) <= bound, (spec, s, x0, x1)
+                assert levy_distance(F.scaled(scale), cdf.scaled(scale)) <= bound, (spec, s, x0, x1)
                 got = output_entropy(spec, s, x0, x1)
                 assert abs(got - entropy) <= bound * (entropy + 2.0), (spec, s, x0, x1)
                 for p, want in zip(ps, lps):

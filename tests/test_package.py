@@ -91,7 +91,7 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(mrquant.__file__).resolve().parents[1])
     code = "import sys; import mrquant; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True)
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -103,7 +103,7 @@ def test_verify_needs_numpy_only():
             "sys.argv = ['mrquant', 'verify', '--suite', 'all']; "
             "runpy.run_module('mrquant.cli', run_name='__main__')")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, timeout=300)
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=300)
     assert out.returncode == 3, out.stderr
     failed = [line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAIL ")]
     assert failed == ["scale.rescaled_cdfs_pairwise", "renewal.matches_closed_form"]
