@@ -20,6 +20,7 @@ Closed forms provided:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,9 +36,9 @@ from .quantizers import (
     Scheme,
     _AlphaPowers,
     _cells_many,
-    _dyadic_level,
     _lattice_index,
     _listing_bounds,
+    _merges,
     _midpoint,
     _real,
     _split,
@@ -112,12 +113,21 @@ class StepCdf:
 
 @dataclass(frozen=True)
 class BiasAlphaCdf:
-    """Stationary relative-size law of the biased tree with ratio ``alpha``."""
+    """Stationary relative-size law of the biased tree with ratio ``alpha``.
+
+    ``alpha`` must be at least ``2**-1022``, the least normal float (``1 -
+    alpha`` always is).  Below it things overflow: the cdf's ``x / alpha``
+    from ``2**-1024`` down, and the Levy distance to ``BiasAlphaCdf(0.9)``
+    from about ``1.2e-308`` down.
+    """
 
     alpha: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "(0, 1)"))
+        a = _real(self.alpha, "alpha", "(0, 1)")
+        if a < 2.0 ** -1022:
+            raise DomainError(f"alpha must be at least 2**-1022, the least normal float, got {a!r}")
+        object.__setattr__(self, "alpha", a)
 
     @property
     def split_entropy(self) -> float:
@@ -132,7 +142,7 @@ class BiasAlphaCdf:
         a = self.alpha
         h = self.split_entropy
         x = np.asarray(x, dtype=np.float64)
-        c = np.minimum(np.maximum(x, 1e-300), 1.0)
+        c = np.clip(x, min(a, 1.0 - a), 1.0)  # below the support both logs are <= 0
         val = (
             a * np.maximum(np.log2(c / a), 0.0)
             + (1.0 - a) * np.maximum(np.log2(c / (1.0 - a)), 0.0)
@@ -441,17 +451,28 @@ def _class_table(
     covers all of it.  The decided classes are decided alike in real and
     in float arithmetic, and their sizes are within ``M`` of each member's
     float length.
+
+    The powers are read off the table directly, ``a**n`` as ``view[n_max -
+    n]``, and ``bisect`` on it finds each ``I_j``.  Every exponent read lies
+    in ``[0, max I_j]``: ``a**0 = 1 > s / r`` keeps ``1 <= I_j`` for every
+    row but the last, and ``I_j <= n_max`` is checked as each row is found.
+    Past ``n_max``, as for alphas near 1, whose table stops at its cap,
+    :meth:`~mrquant.quantizers._AlphaPowers.pow` raises its DomainError.
     """
+    view, n_max = pows._view, pows.n_max
     beta = 1.0 - alpha
     rows = []  # (length of class (0, j), I_j)
     r = hi - lo
     while r > s:
-        inner = pows.largest_exponent_above(s / r) + 1
-        while r * pows.pow(inner) > s:
-            inner += 1
-        while r * pows.pow(inner - 1) <= s:
-            inner -= 1
-        rows.append((r, inner))
+        # view[k] = a**(n_max - k) is the least power above s / r < 1 = a**0, so k <= n_max
+        k = bisect.bisect_right(view, s / r)
+        while k and r * view[k - 1] > s:
+            k -= 1
+        if not k:
+            pows.pow(n_max + 1)  # raises
+        while r * view[k] <= s:
+            k += 1
+        rows.append((r, n_max + 1 - k))
         r *= beta
     rows.append((r, 0))
     d = rows[0][1] + len(rows) - 1
@@ -460,9 +481,9 @@ def _class_table(
         return None
     undecided = set()
     for j, (r, inner) in enumerate(rows):
-        if inner and r * pows.pow(inner - 1) <= s + margin:
+        if inner and r * view[n_max + 1 - inner] <= s + margin:
             undecided.add((inner - 1, j))
-        if r * pows.pow(inner) > s - margin:
+        if r * view[n_max - inner] > s - margin:
             undecided.add((inner, j))
     sizes, counts = [], []
     above = 0  # I_(j-1)
@@ -474,7 +495,7 @@ def _class_table(
             if i == inner and inner and (inner - 1, j) not in undecided:
                 n += math.comb(inner - 1 + j, j)
             if n and (i, j) not in undecided:
-                sizes.append(r * pows.pow(i))
+                sizes.append(r * view[n_max - i])
                 counts.append(n)
         above = inner
     return sizes, counts, undecided
@@ -694,11 +715,16 @@ def _lattice_count(
 
     Elsewhere the computed cell ends rise strictly with the index, so the
     walk meets every index from the first to the last.  A DBMRQ pair of
-    level-m cells that :func:`~mrquant.quantizers._dyadic_level` merges is
-    one cell, so each merged pair wholly inside that range counts once.  The
-    rule sees the pairs' exact starts, so no pair index underflows to -0.0.
-    It sees them :data:`~mrquant.quantizers._BLOCK` pairs at a time, and
-    more than :data:`~mrquant.quantizers._MAX_CELLS` pairs raise DomainError.
+    level-m cells that :func:`~mrquant.quantizers._merges` merges is one
+    cell, so each merged pair wholly inside that range counts once.  The
+    rule is asked about the pair indices ``j`` themselves, as floats, which
+    is what :func:`~mrquant.quantizers._dyadic_level` asks it about the
+    pair's start ``x = j 2**(m+1)``: under the guards above ``|j| < 2**52``
+    is exact, and ``x`` is a multiple of ``2**-1073`` below ``2**1023``, so
+    ``floor(ldexp(ldexp(j, m+1), -(m+1)))`` is ``j`` again, and the fill
+    fraction is the one scalar of ``s``.  The pairs are asked
+    :data:`~mrquant.quantizers._BLOCK` at a time, and more than
+    :data:`~mrquant.quantizers._MAX_CELLS` pairs raise DomainError.
     """
     m = math.frexp(s)[1] - 1
     w = s if spec.scheme is Scheme.SIMPLE_UNIFORM else math.ldexp(1.0, m)
@@ -715,8 +741,7 @@ def _lattice_count(
     merged = 0
     for start in range(first, stop, _BLOCK):
         pairs = np.arange(start, min(start + _BLOCK, stop), dtype=np.float64)
-        levels = _dyadic_level(spec, np.full(pairs.size, s), np.ldexp(pairs, m + 1))
-        merged += int(np.count_nonzero(levels > m))
+        merged += int(np.count_nonzero(_merges(spec, s, m, pairs)))
     return j1 - j0 + 1 - merged, merged
 
 

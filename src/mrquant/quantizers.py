@@ -351,18 +351,25 @@ def _dyadic_level(spec: QuantizerSpec, s, x):
     """Level ``m`` of the dyadic cell that holds ``x`` at step ``s``.
 
     ``m`` is ``floor(log2 s)``, plus one where DBMRQ merges the pair of
-    level-m cells around ``x`` into their parent: where the dithered
-    fractional part of the pair's index falls below the fill fraction
-    ``2 - 2**(m+1)/s`` that ``s`` demands.  Takes floats, or arrays
-    elementwise.  A negative ``x`` so small that its pair index underflows
-    to -0.0 gets the pair of 0; the callers keep such inputs away from it.
+    level-m cells around ``x`` into their parent (:func:`_merges`).  Takes
+    floats, or arrays elementwise.  A negative ``x`` so small that its pair
+    index underflows to -0.0 gets the pair of 0; the callers keep such
+    inputs away from it.
     """
     xp = np if isinstance(s, np.ndarray) else math
     m = xp.frexp(s)[1] - 1  # exact, unlike log2 followed by floor
     if spec.scheme is Scheme.DBMRQ:
-        t = _dither_fraction(spec, xp.floor(xp.ldexp(x, -(m + 1))), xp)
-        m = m + (t < 2.0 - 2.0 * (xp.ldexp(1.0, m) / s))
+        m = m + _merges(spec, s, m, xp.floor(xp.ldexp(x, -(m + 1))), xp)
     return m
+
+
+def _merges(spec: QuantizerSpec, s, m, j, xp=np):
+    """The one DBMRQ merge rule: whether the pair of level-m cells of index
+    ``j`` merges into its parent at step ``s`` (``m = floor(log2 s)``), that
+    is whether its dithered fraction falls below the fill fraction ``2 -
+    2**(m+1)/s`` that ``s`` demands.  Floats with ``xp=math``; with
+    ``xp=np``, an array ``j``, or ``j``, ``s`` and ``m``, elementwise."""
+    return _dither_fraction(spec, j, xp) < 2.0 - 2.0 * (xp.ldexp(1.0, m) / s)
 
 
 def _dither_fraction(spec: QuantizerSpec, j, xp=np):

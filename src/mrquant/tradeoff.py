@@ -289,7 +289,8 @@ def renewal_oracle_cdf(cfg: RenewalConfig) -> StepCdf:
     records 2^-(overshoot) at the first crossing of horizon_t.  This is the
     law the biased tree's cell sizes follow at scale separation horizon_t,
     so for large horizons it converges to the closed-form stationary cdf.
-    Output is deterministic given the seed.
+    Output is deterministic given the seed: every round draws one uniform
+    per sample, and only the walks still alive step.
     """
     rng = np.random.default_rng(cfg.seed)
     a = cfg.alpha
@@ -298,14 +299,15 @@ def renewal_oracle_cdf(cfg: RenewalConfig) -> StepCdf:
     n = cfg.samples
     t = cfg.horizon_t
     out = np.empty(n)
+    draws = np.empty(n)
+    alive = np.arange(n)
     times = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    while alive.any():
-        steps = np.where(rng.random(n) < a, la, lb)
-        crossed_t = times + steps
-        crossed = alive & (crossed_t >= t)
-        out[crossed] = 2.0 ** (-(crossed_t[crossed] - t))
-        alive &= ~crossed
-        times = np.where(alive, crossed_t, times)
+    while alive.size:
+        rng.random(out=draws)
+        times += np.where(draws[alive] < a, la, lb)
+        crossed = times >= t
+        if crossed.any():
+            out[alive[crossed]] = 2.0 ** (-(times[crossed] - t))
+            alive, times = alive[~crossed], times[~crossed]
     values, counts = np.unique(out, return_counts=True)
     return StepCdf(values, counts / n)

@@ -207,6 +207,25 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             DbmrqAtomsCdf(0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324, math.nextafter(2.0 ** -1022, 0.0)])
+    def test_subnormal_alpha_is_refused(self, alpha):
+        with pytest.raises(DomainError, match="at least 2"):
+            BiasAlphaCdf(alpha)
+
+    def test_the_least_alpha_accepted_stays_finite(self):
+        # 2**-1022, the least normal float: its cdf, rates and distances, with
+        # RuntimeWarning an error, as every test runs
+        law = BiasAlphaCdf(2.0 ** -1022)
+        xs = np.array([-1.0, 0.0, 5e-324, 1e-310, 2.0 ** -1022, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0, 2.0])
+        got = law.cdf(xs)
+        assert got[:5].tolist() == [0.0] * 5 and got[-2:].tolist() == [1.0, 1.0]
+        assert (np.diff(got) >= 0.0).all()
+        for eta in (0.0, 0.5, 1.0, 2.0, 10.0):
+            assert math.isfinite(renyi_rate(law, eta))
+        for other in (BiasAlphaCdf(0.6), BiasAlphaCdf(0.9), law, StepCdf(np.array([5e-324, 0.7]), np.array([0.5, 0.5]))):
+            for d in (levy_distance(law, other), levy_distance(other, law)):
+                assert 0.0 <= d <= 1.0
+
 
 class TestEmpiricalCdf:
     def test_dyadic_single_atom(self):
@@ -680,10 +699,47 @@ class TestLatticeCounts:
     def test_more_dbmrq_pairs_than_the_budget_raise_before_any_is_tested(self, monkeypatch):
         # [0, 1e8) at step 1.5 holds 5e7 pairs of level-0 cells
         tested = []
-        monkeypatch.setattr(cdf_analysis, "_dyadic_level", lambda *args: tested.append(args))
+        monkeypatch.setattr(cdf_analysis, "_merges", lambda *args: tested.append(args))
         with pytest.raises(DomainError, match="would test over 20000000 pairs"):
             count_levels(QuantizerSpec.dbmrq(), 1.5, 0.0, 1e8)
         assert tested == []
+
+    def test_merged_pairs_follow_the_rule_on_the_pair_starts(self):
+        # The count asks the merge rule about pair indices; the cells are
+        # merged by _dyadic_level at each pair's start, j 2**(m+1).
+        rng = np.random.default_rng(20261020)
+        spec, checked = QuantizerSpec.dbmrq(), 0
+        for i in range(2000):
+            kind = i % 5
+            if kind == 0:  # a step at a power of two, or the float below one
+                s = math.ldexp(1.0, int(rng.integers(-30, 30)))
+                s = math.nextafter(s, 0.0) if rng.random() < 0.5 else s
+            elif kind == 1:  # subnormal steps
+                s = float(rng.integers(1, 2 ** 40)) * 5e-324
+            elif kind == 2:  # near 2**1000
+                s = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(995, 1005)))
+            else:
+                s = 10.0 ** rng.uniform(-300.0, 280.0)
+            w = math.ldexp(1.0, math.frexp(s)[1] - 1)
+            width = w * rng.uniform(0.5, 3000.0)
+            if kind == 4:  # an end near 2**51 w, where w > 2 ulp(top) stops holding
+                x1 = w * (2.0 ** 51 - rng.uniform(-4.0, 4.0) - rng.uniform(0.0, 3000.0) * (i % 2))
+            else:
+                x1 = w * (float(rng.integers(-(2 ** 40), 2 ** 40)) * 2.0 ** -float(rng.integers(0, 40))
+                          + rng.uniform(0.0, 3000.0))
+            x0, x1 = (x1 - width, x1) if rng.random() < 0.5 else (-x1, width - x1)
+            counted = cdf_analysis._lattice_count(spec, s, x0, x1) if x0 < x1 < math.inf else None
+            if counted is None:
+                continue
+            m = math.frexp(s)[1] - 1
+            j0 = _lattice_index(w, x0)[0]
+            j1 = _lattice_index(w, math.nextafter(x1, -math.inf))[0]
+            pairs = np.arange((j0 + 1) // 2, (j1 + 1) // 2, dtype=np.float64)
+            merged = quantizers._dyadic_level(spec, np.full(pairs.size, s), np.ldexp(pairs, m + 1)) > m
+            np.testing.assert_array_equal(quantizers._merges(spec, s, m, pairs), merged)
+            assert counted == (j1 - j0 + 1 - np.count_nonzero(merged), np.count_nonzero(merged)), (s, x0, x1)
+            checked += 1
+        assert checked >= 1700
 
     def test_tiny_negative_start_takes_the_pair_below_zero(self):
         # x0's pair index underflows to -0.0, the pair of 0, which the step
@@ -833,6 +889,21 @@ class TestWindowKernel:
         F = empirical_cell_cdf(spec, s, x0, x1)
         assert mean in F.breakpoints.tolist()
         assert count_levels(spec, s, x0, x1) == len(cells) == 6
+
+    def test_class_exponents_past_the_table_raise(self):
+        # The table of alpha = 0.99999 stops at its cap, at a**n_max ~ 0.05:
+        # a node whose first row needs I_0 > n_max raises as pow does.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = QuantizerSpec.bbmrq(0.99999, nonstandard_alpha=True)
+        pows = spec._powers
+        assert pows.n_max == 299_999
+        with pytest.raises(DomainError, match="tabulated"):
+            cdf_analysis._class_table(pows, spec.alpha, 1.0, 1.0, 1.0 + 1e6)
+        edge = 1.0 / pows.pow(pows.n_max)  # I_0 is n_max just below it
+        cdf_analysis._class_table(pows, spec.alpha, 1.0, 0.0, edge * (1.0 - 1e-9))
+        with pytest.raises(DomainError, match="tabulated"):
+            cdf_analysis._class_table(pows, spec.alpha, 1.0, 0.0, edge * (1.0 + 1e-9))
 
     def test_undecided_classes_are_walked(self):
         # s is a node's float length, so its class is undecided in every

@@ -526,6 +526,24 @@ class TestRenewalOracle:
         assert np.array_equal(f1.breakpoints, f2.breakpoints)
         assert np.array_equal(f1.masses, f2.masses)
 
+    @pytest.mark.parametrize("alpha, seed", [(0.6, 42), (0.5, 5), (0.74, 7), (0.9, 3)])
+    def test_every_round_draws_one_uniform_per_sample(self, alpha, seed):
+        # The reference walks every sample each round, crossed or not, so
+        # the stream of uniforms, and so the law, is pinned bit for bit.
+        cfg = RenewalConfig(alpha=alpha, horizon_t=20.0, samples=3000, seed=seed)
+        rng = np.random.default_rng(seed)
+        la, lb = -math.log2(alpha), -math.log2(1.0 - alpha)
+        out, times, alive = np.empty(3000), np.zeros(3000), np.ones(3000, bool)
+        while alive.any():
+            times = times + np.where(rng.random(3000) < alpha, la, lb)
+            crossed = alive & (times >= 20.0)
+            out[crossed] = 2.0 ** (-(times[crossed] - 20.0))
+            alive &= ~crossed
+        values, counts = np.unique(out, return_counts=True)
+        got = renewal_oracle_cdf(cfg)
+        assert got.breakpoints.tobytes() == values.tobytes()
+        assert got.masses.tobytes() == (counts / 3000).tobytes()
+
     def test_different_seed_differs(self):
         base = dict(alpha=0.6, horizon_t=30.0, samples=5000)
         f1 = renewal_oracle_cdf(RenewalConfig(seed=1, **base))
