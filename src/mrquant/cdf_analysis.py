@@ -435,7 +435,9 @@ def _class_table(
     lies within ``M`` of ``s`` are undecided: at most ``(I_j - 1, j)`` and
     ``(I_j, j)`` per row, while ``M <= s * min(a, b) / (1 + max(a, b))``
     keeps their neighbours out of reach.  Their nodes are left out of the
-    counts, with the leaves below them, and returned as ``undecided``.  The
+    counts, with the leaves below them, and returned as ``undecided``; so a
+    leaf of row ``j`` meets them only as itself, ``(I_j, j)``, or through
+    its parent, ``(I_j - 1, j)`` or ``(I_(j-1) - 1, j - 1)``.  The
     margin follows from the split arithmetic: a split ``lo + a * (hi -
     lo)`` rounds three times, by at most ``u * hi + 2 u a l`` (``u =
     2**-53``, ``l`` the split node's length), and a child's length error is
@@ -479,25 +481,25 @@ def _class_table(
     margin = (2.0 ** -52 * (hi + 2 * (d + 4) * s) + (d + 4) * 2.0 ** -1074) / min(alpha, beta)
     if margin > s * min(alpha, beta) / (1.0 + max(alpha, beta)):
         return None
-    undecided = set()
+    sizes, counts, undecided = [], [], set()
+    above, parent_out = 0, False  # I_(j-1), and whether (I_(j-1) - 1, j - 1) is undecided
     for j, (r, inner) in enumerate(rows):
-        if inner and r * view[n_max + 1 - inner] <= s + margin:
+        parent = inner and r * view[n_max + 1 - inner] <= s + margin  # (inner - 1, j) undecided
+        leaf = r * view[n_max - inner] > s - margin  # (inner, j) undecided
+        if parent:
             undecided.add((inner - 1, j))
-        if r * view[n_max - inner] > s - margin:
+        if leaf:
             undecided.add((inner, j))
-    sizes, counts = [], []
-    above = 0  # I_(j-1)
-    for j, (r, inner) in enumerate(rows):
         for i in range(inner, max(above, inner + 1) if inner else above):
             n = 0
-            if i < above and (i, j - 1) not in undecided:
+            if i < above and not (parent_out and i == above - 1):
                 n += math.comb(i + j - 1, j - 1)
-            if i == inner and inner and (inner - 1, j) not in undecided:
+            if i == inner and inner and not parent:
                 n += math.comb(inner - 1 + j, j)
-            if n and (i, j) not in undecided:
+            if n and not (leaf and i == inner):
                 sizes.append(r * view[n_max - i])
                 counts.append(n)
-        above = inner
+        above, parent_out = inner, parent
     return sizes, counts, undecided
 
 
@@ -720,9 +722,9 @@ def _lattice_count(
     rule is asked about the pair indices ``j`` themselves, as floats, which
     is what :func:`~mrquant.quantizers._dyadic_level` asks it about the
     pair's start ``x = j 2**(m+1)``: under the guards above ``|j| < 2**52``
-    is exact, and ``x`` is a multiple of ``2**-1073`` below ``2**1023``, so
-    ``floor(ldexp(ldexp(j, m+1), -(m+1)))`` is ``j`` again, and the fill
-    fraction is the one scalar of ``s``.  The pairs are asked
+    is exact, and ``x`` is a multiple of ``2**-1073`` below ``2**1023`` in
+    magnitude, so ``floor(ldexp(ldexp(j, m+1), -(m+1)))`` is ``j`` again,
+    and the fill fraction is the one scalar of ``s``.  The pairs are asked
     :data:`~mrquant.quantizers._BLOCK` at a time, and more than
     :data:`~mrquant.quantizers._MAX_CELLS` pairs raise DomainError.
     """
