@@ -592,12 +592,23 @@ def _balance(f: BiasAlphaCdf, g: BiasAlphaCdf) -> Tuple[np.ndarray, np.ndarray]:
     forms balance along a line, one for each pair of pieces with unequal q:
     there ``x_g = r x_f``, ``r = q_g / q_f``, so ``x_f + q_f log2 x_f = q_f
     (p_g - p_f + q_g log2 r) / (q_f - q_g)``.  A root off the pieces only
-    adds a line where the gap is smaller."""
+    adds a line where the gap is smaller.
+
+    For alphas far from 1/2, q grows toward ``1/H`` (about ``4e304`` at
+    ``2**-1022``), and the product ``q_f (...)`` can pass float64 where the
+    quotient does not; there the right side is taken as ``(...) / (1 -
+    r)``.  Such an r is far from 1: p lies in [0, 1], so only a large
+    ``q_g log2 r`` overflows."""
     k, _, pf, qf = f._logs()
     _, _, pg, qg = g._logs()
     i, j = np.nonzero(qf[:, None] != qg[None, :])
     pf, qf, pg, qg = pf[i], qf[i], pg[j], qg[j]
-    x = _climb(k[i], 0.0, qf, qf * (pg - pf + qg * np.log2(qg / qf)) / (qf - qg))
+    shift = pg - pf + qg * np.log2(qg / qf)
+    with np.errstate(over="ignore"):
+        c = qf * shift / (qf - qg)
+    big = np.isinf(c)
+    c[big] = shift[big] / (1.0 - qg[big] / qf[big])
+    x = _climb(k[i], 0.0, qf, c)
     return x, pf + qf * np.log2(x)
 
 

@@ -21,7 +21,6 @@ lattice and overshoots k elsewhere.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -37,11 +36,11 @@ from .quantizers import (
     QuantizerSpec,
     Scheme,
     _dither_fraction,
-    _dyadic_level,
     _first_float,
     _integer,
     _lattice_index,
     _listing_bounds,
+    _merges,
     _real,
     _split,
     _window_args,
@@ -195,11 +194,11 @@ def _searched_step(spec: QuantizerSpec, k: int, x0: float, x1: float) -> float:
             j0, m, r = _lattice_index(lo, x0)[0], math.frexp(lo)[1] - 1, counted[0] - k
             # r of the pairs wholly inside must merge: the step is where the r-th by fraction does
             pairs = np.arange((j0 + 1) // 2, (j0 + counted[0]) // 2, dtype=np.float64)
-            pair = math.ldexp(pairs[np.argpartition(_dither_fraction(spec, pairs), r - 1)[r - 1]], m + 1)
+            pair = float(pairs[np.argpartition(_dither_fraction(spec, pairs), r - 1)[r - 1]])
             proved = True
 
             def fits(s: float) -> bool:
-                return _dyadic_level(spec, s, pair) > m
+                return _merges(spec, s, m, pair, math)
 
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if fits(mid) else (mid, hi)
@@ -351,11 +350,31 @@ def average_chain_error(
     return float(ys.mean())
 
 
-def _decrement_vectors(caps: Tuple[int, ...], budget: int):
-    ranges = [range(min(budget, k - 2) + 1) for k in caps]
-    for d in itertools.product(*ranges):
-        if 0 < sum(d) <= budget:
-            yield d
+def _shaved(cfg: RelayChainConfig, budget: int) -> List[RelayChainConfig]:
+    """The chains an adversary with ``budget`` tries: every way to take a
+    total of 1 to ``budget`` levels off the links that may be shaved, never
+    below 2 per link, in the lexicographic order of the decrement vectors.
+
+    The vectors grow a link at a time, and no prefix's sum passes the
+    budget.  A uniform chain may shave any link.  A requantizable chain may
+    shave only its smallest link, and that loses nothing: its output is
+    one quantization at ``step(min k)``, and as its partitions are nested,
+    ``count_levels`` is nonincreasing in s, so ``step(k)`` does not rise
+    with k.  So taking ``d_i`` off link i gives the chain of ``min_i(k_i -
+    d_i)``, which lies in ``[max(2, k_min - budget), k_min]``, and shaving
+    the smallest link alone reaches every value there.  Of equal smallest
+    links the last is shaved, as the order of all vectors tries it first;
+    a larger link shaved to the same least capacity ties with it, and is
+    not tried.
+    """
+    caps = cfg.capacities
+    smallest = len(caps) - 1 - caps[::-1].index(min(caps))
+    uniform = cfg.spec.scheme is Scheme.SIMPLE_UNIFORM
+    vectors: List[Tuple[int, ...]] = [()]
+    for i, k in enumerate(caps):
+        most = min(budget, k - 2) if uniform or i == smallest else 0
+        vectors = [d + (e,) for d in vectors for e in range(min(most, budget - sum(d)) + 1)]
+    return [replace(cfg, capacities=tuple(k - e for k, e in zip(caps, d))) for d in vectors if any(d)]
 
 
 def adversarial_ratio(
@@ -363,10 +382,11 @@ def adversarial_ratio(
 ) -> Tuple[RelayChainConfig, float]:
     """Worst error inflation an adversary gets by shaving link capacities.
 
-    Exhaustively tries every way to decrement the capacities by a total of
-    at most ``budget`` (never below 2 per link) and returns the perturbed
-    config maximizing the ratio of average errors, with the ratio.  Budget
-    zero returns the original config and 1.0.
+    Tries every chain that decrementing the capacities by a total of at
+    most ``budget`` (never below 2 per link) can give, up to chains of
+    equal error (:func:`_shaved`), and returns the perturbed config
+    maximizing the ratio of average errors, with the ratio.  Budget zero returns the
+    original config and 1.0.
     """
     budget, p = _integer(budget, "budget", 0), _real(p, "p", "(0, inf)")
     if budget == 0:
@@ -378,9 +398,7 @@ def adversarial_ratio(
     errors = {_hops(cfg): base}
     worst_cfg = cfg
     worst_ratio = 1.0
-    for dec in _decrement_vectors(cfg.capacities, budget):
-        caps = tuple(k - d for k, d in zip(cfg.capacities, dec))
-        cand = replace(cfg, capacities=caps)
+    for cand in _shaved(cfg, budget):
         key = _hops(cand)
         if key not in errors:
             errors[key] = average_chain_error(cand, p)

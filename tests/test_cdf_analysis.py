@@ -226,6 +226,30 @@ class TestClosedForms:
             for d in (levy_distance(law, other), levy_distance(other, law)):
                 assert 0.0 <= d <= 1.0
 
+    def test_closed_forms_far_from_one_half_stay_finite(self):
+        # A grid of 120 log-spaced alphas from 2**-1022 to 1/2 and six toward
+        # 1 once overflowed in the balance points for 7 020 of its 15 876
+        # pairs, each with the smaller alpha (or 1 - alpha) at most 1.4e-158
+        # and the larger at most 1.3e-3.  Every sixth alpha of it, each pair
+        # in both orders; a sample of those far pairs against the grid.
+        alphas = np.logspace(-1022 * math.log10(2.0), math.log10(0.5), 120)
+        alphas = [max(float(a), 2.0 ** -1022) for a in alphas[::6]]
+        alphas += [0.5, 0.6, 0.74, 0.9, 0.999, 1.0 - 1e-12, 1.0 - 2.0 ** -53]
+        laws = [BiasAlphaCdf(a) for a in alphas]
+        far = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, f in zip(alphas, laws):
+                for b, g in zip(alphas, laws):
+                    d = levy_distance(f, g)
+                    assert 0.0 <= d <= 1.0, (a, b)
+                    least, most = sorted((min(a, 1.0 - a), min(b, 1.0 - b)))
+                    if least <= 1.4e-158 and most <= 1.3e-3:
+                        far.append((f, g, d))
+        assert len(far) > 200
+        for f, g, d in far[::8]:
+            assert abs(d - gridded_levy(f, g)) <= 1e-4, (f.alpha, g.alpha)
+
 
 class TestEmpiricalCdf:
     def test_dyadic_single_atom(self):

@@ -830,3 +830,68 @@ class TestAdversarialRatio:
             assert math.isclose(ratio, best, rel_tol=1e-9)
             reported = 1.0 if worst == cfg else error(worst.capacities) / base
             assert math.isclose(ratio, reported, rel_tol=1e-9)
+
+    def test_matches_the_exhaustive_adversary_on_a_seeded_sweep(self):
+        # Every capacity vector of the itertools.product reference, each
+        # distinct chain evaluated once: the ratios agree bit for bit, and
+        # the reported chain gives the ratio.  A uniform chain's worst is
+        # the reference's own; a requantizable chain's may be another chain
+        # of the same coarsest step, which ties with it.
+        specs = [UNIFORM, BMRQ, DBMRQ, BB6, QuantizerSpec.bbmrq(0.51)]
+        rng = np.random.default_rng(20261021)
+        for n in range(400):
+            spec = specs[n % len(specs)]
+            caps = tuple(int(k) for k in rng.integers(3, 70, int(rng.integers(1, 5))))
+            budget = int(rng.integers(1, 6))
+            x0 = float(rng.uniform(-1.0, 0.5)) if n % 2 else float(rng.uniform(0.0, 1.0))
+            cfg = RelayChainConfig(caps, spec, domain=(x0, x0 + float(rng.uniform(0.8, 1.25))))
+            errors = {}
+
+            def error(caps):
+                key = applied_steps(cfg, caps)
+                if spec is not UNIFORM:
+                    key = max(s for s in key if s is not None)
+                if key not in errors:
+                    errors[key] = average_chain_error(replace(cfg, capacities=caps), 1.0)
+                return errors[key]
+
+            try:
+                base = error(caps)
+                want_caps, want = caps, 1.0
+                for c in candidate_capacities(caps, budget):
+                    if error(c) / base > want:
+                        want_caps, want = c, error(c) / base
+            except DomainError:
+                with pytest.raises(DomainError):
+                    adversarial_ratio(cfg, budget)
+                continue
+            worst, ratio = adversarial_ratio(cfg, budget)
+            assert ratio == want, (cfg, budget)
+            assert error(worst.capacities) / base == ratio or worst == cfg and ratio == 1.0
+            if spec is UNIFORM:
+                assert worst.capacities == want_caps, (cfg, budget)
+
+    @pytest.mark.parametrize(
+        "caps, budget", [((5,), 2), ((4, 3), 3), ((2, 7, 3), 4), ((9, 2, 6, 4), 3), ((3, 3), 5)]
+    )
+    def test_uniform_tries_every_vector_in_the_exhaustive_order(self, caps, budget):
+        cfg = RelayChainConfig(caps, UNIFORM)
+        tried = [c.capacities for c in relay_sim._shaved(cfg, budget)]
+        assert tried == list(candidate_capacities(caps, budget))
+
+    @pytest.mark.parametrize("spec", [BMRQ, DBMRQ, BB6], ids=["bmrq", "dbmrq", "bbmrq"])
+    @pytest.mark.parametrize(
+        "caps, budget", [((32, 16, 8), 2), ((8, 16, 8), 5), ((40,) * 8, 8), ((9, 3, 12), 4)]
+    )
+    def test_a_requantizable_chain_shaves_its_last_smallest_link(self, spec, caps, budget):
+        # at most budget chains, one per value of the chain's least capacity
+        cfg = RelayChainConfig(caps, spec)
+        tried = [c.capacities for c in relay_sim._shaved(cfg, budget)]
+        smallest = len(caps) - 1 - caps[::-1].index(min(caps))
+        assert len(tried) == min(budget, min(caps) - 2) <= budget
+        assert tried == [caps[:smallest] + (min(caps) - e,) + caps[smallest + 1:] for e in range(1, len(tried) + 1)]
+
+    def test_eight_uniform_links_at_budget_eight(self):
+        # C(16, 8) - 1 vectors of sum 1 to 8 over eight links, against the
+        # 9**8 of the product
+        assert len(relay_sim._shaved(RelayChainConfig((40,) * 8, UNIFORM), 8)) == 12_869
